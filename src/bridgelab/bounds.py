@@ -16,7 +16,8 @@ import numpy as np
 
 from .bridge import BridgeSolution, SolverOptions, reverse_solution, solve_bridge
 from .errors import DegenerateSeries, MissingPrerequisite, BridgeLabError
-from .flow import Trajectory, gradient_flow
+from .flow import gradient_flow
+from .functionals import defect_field
 from .potential import Potential
 
 #: Reports pass when margin >= -BOUND_TOL * (1 + |rhs|).
@@ -63,12 +64,6 @@ def _sinh_ratio(a: float, b: float) -> float:
     return (math.exp(a - b) - math.exp(-a - b)) / (1.0 - math.exp(-2.0 * b))
 
 
-def _nearest_index(traj: Trajectory, t: float) -> int:
-    h = traj.spacing()
-    idx = int(round((t - traj.times[0]) / h))
-    return min(max(idx, 0), traj.n_nodes - 1)
-
-
 def verify_bounds(
     P: Potential,
     x,
@@ -100,10 +95,7 @@ def verify_bounds(
     if solution is None:
         solution = solve_bridge(P, x, y, T, opts)
 
-    n_finite = np.isfinite(P.n_dim)
-    rho_pos = P.rho is not None and P.rho > 0
-
-    if c1 is None and n_finite:
+    if c1 is None and np.isfinite(P.n_dim):
         try:
             c1 = solve_bridge(P, x, y, 1.0, opts).cost
         except BridgeLabError as exc:
@@ -148,7 +140,7 @@ def _verify_one_orientation(P, x, y, T, sol, c1, t_values, theta_values, opts, o
         flow = gradient_flow(P, x, T, steps=traj.n_nodes - 1)
 
     def phi_sq(idx: int) -> float:
-        phi = P.grad(traj.states[idx]) + traj.velocities[idx]
+        phi = defect_field(traj, P, traj.times[idx])
         return float(phi @ phi)
 
     if n_finite:
@@ -159,14 +151,14 @@ def _verify_one_orientation(P, x, y, T, sol, c1, t_values, theta_values, opts, o
             )
         log_budget = 2.0 * Fy - 2.0 * Fx + (c1 if c1 is not None else 0.0) + 2.0 * n * math.log(max(T, 1.0))
         for t in t_values:
-            idx = _nearest_index(traj, t)
+            idx = traj.nearest_index(t)
             tt = float(traj.times[idx])
             if c1 is not None and T >= 1.0 and tt < T:
                 reports.append(
                     _report("B2", phi_sq(idx), log_budget / (T - tt), t=tt, c1=c1, **base)
                 )
         for theta in theta_values:
-            idx = _nearest_index(traj, theta * T)
+            idx = traj.nearest_index(theta * T)
             g = P.grad(traj.states[idx])
             reports.append(
                 _report(
@@ -179,7 +171,7 @@ def _verify_one_orientation(P, x, y, T, sol, c1, t_values, theta_values, opts, o
                 )
             )
         for t in t_values:
-            idx = _nearest_index(traj, t)
+            idx = traj.nearest_index(t)
             tt = float(traj.times[idx])
             dist = float(np.linalg.norm(traj.states[idx] - flow.states[idx]))
             if c1 is not None and T >= 1.0:
@@ -195,7 +187,7 @@ def _verify_one_orientation(P, x, y, T, sol, c1, t_values, theta_values, opts, o
             )
         )
         for t in t_values:
-            idx = _nearest_index(flow, t)
+            idx = flow.nearest_index(t)
             tt = float(flow.times[idx])
             if tt > 0:
                 g = P.grad(flow.states[idx])
@@ -204,7 +196,7 @@ def _verify_one_orientation(P, x, y, T, sol, c1, t_values, theta_values, opts, o
     if rho_pos:
         budget = max(C + 2.0 * Fy - 2.0 * Fx, 0.0)
         for t in t_values:
-            idx = _nearest_index(traj, t)
+            idx = traj.nearest_index(t)
             tt = float(traj.times[idx])
             if tt < T:
                 rhs = 2.0 * rho / math.expm1(2.0 * rho * (T - tt)) * budget
@@ -214,7 +206,7 @@ def _verify_one_orientation(P, x, y, T, sol, c1, t_values, theta_values, opts, o
             _report("B5", abs(E), 2.0 * rho / math.expm1(rho * T) * math.sqrt(disc), **base)
         )
         for t in t_values:
-            idx = _nearest_index(traj, t)
+            idx = traj.nearest_index(t)
             tt = float(traj.times[idx])
             dist = float(np.linalg.norm(traj.states[idx] - flow.states[idx]))
             denom = math.exp(-2.0 * rho * tt) - math.exp(-2.0 * rho * T)
@@ -224,7 +216,7 @@ def _verify_one_orientation(P, x, y, T, sol, c1, t_values, theta_values, opts, o
         if has_min:
             Fstar = P.value(P.minimizer)
             for t in t_values:
-                idx = _nearest_index(traj, t)
+                idx = traj.nearest_index(t)
                 tt = float(traj.times[idx])
                 c = Fstar - E / (4.0 * rho)
                 s1 = _sinh_ratio(2.0 * rho * (T - tt), 2.0 * rho * T)

@@ -23,6 +23,7 @@ from .errors import (
     UnsupportedKind,
 )
 from .flow import Trajectory, default_steps
+from .functionals import action_cost, conserved_energy
 from .potential import ALL_SPACE, NEG_LOG, QUADRATIC_ISOTROPIC, Potential
 
 #: Shooting switches to the unit-interval parametrization above this horizon
@@ -70,26 +71,6 @@ class BridgeSolution:
     context: dict = field(default_factory=dict)
 
 
-# -- shared quadrature/diagnostic helpers (kept here to avoid an import cycle;
-#    the functionals module re-exports the public names) ----------------------
-
-
-def _check_uniform(traj: Trajectory) -> float:
-    return traj.spacing()
-
-
-def _trapezoid_cost(traj: Trajectory, P: Potential) -> float:
-    h = _check_uniform(traj)
-    g = np.sum(traj.velocities**2, axis=1) + np.sum(P.grad_many(traj.states) ** 2, axis=1)
-    w = np.full(traj.n_nodes, h)
-    w[0] = w[-1] = 0.5 * h
-    return float(w @ g)
-
-
-def _energy_samples(traj: Trajectory, P: Potential) -> np.ndarray:
-    return np.sum(traj.velocities**2, axis=1) - np.sum(P.grad_many(traj.states) ** 2, axis=1)
-
-
 def newton_residual(traj: Trajectory, P: Potential) -> float:
     """Max deviation of the second-difference acceleration from F''(x)F'(x).
 
@@ -98,22 +79,20 @@ def newton_residual(traj: Trajectory, P: Potential) -> float:
     """
     if traj.n_nodes < 5:
         raise ValueError("newton_residual needs at least 5 nodes")
-    h = _check_uniform(traj)
+    h = traj.spacing()
     acc = (traj.states[2:] - 2.0 * traj.states[1:-1] + traj.states[:-2]) / (h * h)
     force = P.hess_grad_many(traj.states[1:-1])
     return float(np.max(np.linalg.norm(acc - force, axis=1)))
 
 
 def _finish_solution(traj, P, solver, boundary_error, iterations, **context) -> BridgeSolution:
-    E = _energy_samples(traj, P)
-    mean = float(np.mean(E))
-    residual = newton_residual(traj, P) if traj.n_nodes >= 5 else float("nan")
+    energy = conserved_energy(traj, P)
     return BridgeSolution(
         trajectory=traj,
-        cost=_trapezoid_cost(traj, P),
-        energy_mean=mean,
-        energy_maxdev=float(np.max(np.abs(E - mean))),
-        newton_residual=residual,
+        cost=action_cost(traj, P),
+        energy_mean=energy.mean,
+        energy_maxdev=energy.maxdev,
+        newton_residual=newton_residual(traj, P) if traj.n_nodes >= 5 else float("nan"),
         solver=solver,
         boundary_error=float(boundary_error),
         iterations=int(iterations),
@@ -134,8 +113,8 @@ def _integrate_phase(P: Potential, x: np.ndarray, v0: np.ndarray, T: float, step
     """
     d = P.dim
     # integrate_grid runs `feasible` on every stage state before rhs sees it,
-    # so builtin kinds evaluate the force without checking the state again
-    force = P.force_fn or P.hess_grad
+    # so the force is evaluated without checking the state again
+    force = P.force_fn
 
     if P.domain == ALL_SPACE:
         feasible = None

@@ -18,8 +18,9 @@ import numpy as np
 from .bounds import EXPONENTIAL, POWER_LAW, fit_rate, verify_bounds
 from .bridge import solve_bridge
 from .config import ExperimentConfig, builtin_config_names, resolve_config
-from .errors import BridgeLabError, ConfigError, DegenerateSeries
+from .errors import BridgeLabError, ConfigError, DegenerateSeries, OffGrid
 from .flow import gradient_flow
+from .functionals import conserved_energy
 from .gaussian import GaussianBridge, gamma_expansion, gaussian_cost, gaussian_energy, heat_flow_distance
 from .potential import Potential
 
@@ -43,10 +44,8 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 
 def _trajectory_rows(traj, P: Potential):
-    grads = P.grad_many(traj.states)
-    energy = np.sum(traj.velocities**2, axis=1) - np.sum(grads**2, axis=1)
-    phi = grads + traj.velocities
-    phi_norm = np.linalg.norm(phi, axis=1)
+    energy = conserved_energy(traj, P).samples[:, 1]
+    phi_norm = np.linalg.norm(P.grad_many(traj.states) + traj.velocities, axis=1)
     rows = []
     for i, t in enumerate(traj.times):
         rows.append(
@@ -263,12 +262,10 @@ def run(config: ExperimentConfig, *, keep_going: bool = False, threads: int = 1,
             }
             if T > 1.0:
                 flow = gradient_flow(P, config.x, 1.0, steps=200)
-                idx = sol.trajectory.index_of(1.0) if _on_grid(sol.trajectory, 1.0) else None
-                state = (
-                    sol.trajectory.states[idx]
-                    if idx is not None
-                    else _interp_state(sol.trajectory, 1.0)
-                )
+                try:
+                    state = sol.trajectory.states[sol.trajectory.index_of(1.0)]
+                except OffGrid:
+                    state = _interp_state(sol.trajectory, 1.0)
                 row["dist_flow_t1"] = float(np.linalg.norm(state - flow.states[-1]))
             return row
 
@@ -313,12 +310,6 @@ def run(config: ExperimentConfig, *, keep_going: bool = False, threads: int = 1,
         fh.write("\n")
 
     return 2 if failures else 0
-
-
-def _on_grid(traj, t: float) -> bool:
-    h = traj.spacing()
-    idx = round((t - traj.times[0]) / h)
-    return 0 <= idx < traj.n_nodes and abs(traj.times[int(idx)] - t) <= 1e-9 * max(1.0, abs(t))
 
 
 def _interp_state(traj, t: float) -> np.ndarray:

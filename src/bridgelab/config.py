@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -30,11 +30,20 @@ class ExperimentConfig:
     csv_dir: Path
     json_path: Path
     quad_steps: int = 200001
-    raw: dict = field(default_factory=dict)
 
 
 def _fail(msg: str) -> ConfigError:
     return ConfigError(msg)
+
+
+def _numbers(data: dict, key: str, default=None) -> list[float]:
+    values = data.get(key, default)
+    if not isinstance(values, list):
+        raise _fail(f"{key} must be a list of numbers")
+    try:
+        return [float(v) for v in values]
+    except (TypeError, ValueError) as exc:
+        raise _fail(f"{key} must be a list of numbers") from exc
 
 
 def parse_config(data: dict, *, name_hint: str = "config") -> ExperimentConfig:
@@ -57,6 +66,8 @@ def parse_config(data: dict, *, name_hint: str = "config") -> ExperimentConfig:
         raise _fail(str(exc)) from exc
 
     endpoints = data.get("endpoints") or {}
+    if not isinstance(endpoints, dict):
+        raise _fail("'endpoints' must be an object")
     try:
         x = np.asarray(endpoints.get("x"), dtype=float).reshape(-1)
         y = np.asarray(endpoints.get("y", endpoints.get("x")), dtype=float).reshape(-1)
@@ -68,17 +79,16 @@ def parse_config(data: dict, *, name_hint: str = "config") -> ExperimentConfig:
             f"got x:{x.size} y:{y.size}"
         )
 
-    T_values = data.get("T_values")
-    if not isinstance(T_values, list) or not T_values:
+    T_values = _numbers(data, "T_values")
+    if not T_values:
         raise _fail("T_values must be a nonempty list")
-    T_values = [float(t) for t in T_values]
     if any(t <= 0 for t in T_values) or any(b <= a for a, b in zip(T_values, T_values[1:])):
         raise _fail("T_values must be positive and strictly increasing")
 
-    theta_values = [float(v) for v in data.get("theta_values", [k / 10 for k in range(1, 10)])]
+    theta_values = _numbers(data, "theta_values", [k / 10 for k in range(1, 10)])
     if any(not 0.0 < v < 1.0 for v in theta_values):
         raise _fail("theta_values must lie strictly inside (0, 1)")
-    t_fractions = [float(v) for v in data.get("t_fractions", [0.25, 0.5, 0.75])]
+    t_fractions = _numbers(data, "t_fractions", [0.25, 0.5, 0.75])
     if any(not 0.0 < v < 1.0 for v in t_fractions):
         raise _fail("t_fractions must lie strictly inside (0, 1)")
 
@@ -99,12 +109,24 @@ def parse_config(data: dict, *, name_hint: str = "config") -> ExperimentConfig:
         )
     except (TypeError, ValueError) as exc:
         raise _fail(f"bad solver options: {exc}") from exc
+    if solver.grid_points is not None and solver.grid_points < 3:
+        raise _fail("solver.grid_points must be >= 3")
 
     outputs = data.get("outputs", {})
-    csv_dir = Path(outputs.get("csv_dir", "out"))
-    json_path = Path(outputs.get("json_path", str(csv_dir / f"{name}_summary.json")))
+    if not isinstance(outputs, dict):
+        raise _fail("'outputs' must be an object")
+    try:
+        csv_dir = Path(outputs.get("csv_dir", "out"))
+        json_path = Path(outputs.get("json_path", str(csv_dir / f"{name}_summary.json")))
+    except TypeError as exc:
+        raise _fail("outputs.csv_dir / outputs.json_path must be paths") from exc
 
-    quad_steps = int(data.get("quad_steps", 200001))
+    try:
+        quad_steps = int(data.get("quad_steps", 200001))
+    except (TypeError, ValueError) as exc:
+        raise _fail("quad_steps must be an integer") from exc
+    if quad_steps < 10:
+        raise _fail("quad_steps must be >= 10")
 
     return ExperimentConfig(
         name=str(name),
@@ -119,7 +141,6 @@ def parse_config(data: dict, *, name_hint: str = "config") -> ExperimentConfig:
         csv_dir=csv_dir,
         json_path=json_path,
         quad_steps=quad_steps,
-        raw=data,
     )
 
 

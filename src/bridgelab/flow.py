@@ -7,11 +7,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._integrate import integrate_grid
-from .errors import DomainError, NonUniformGrid, OffGrid, UnsupportedKind
+from .errors import NonUniformGrid, OffGrid, UnsupportedKind
 from .potential import ALL_SPACE, NEG_LOG, QUADRATIC_ISOTROPIC, Potential
 
 #: Relative spacing variation tolerated before a grid counts as non-uniform.
 UNIFORMITY_RTOL = 1e-12
+
+
+def uniform_step(times: np.ndarray) -> float:
+    """Step of a uniform time grid; raises NonUniformGrid when spacing varies."""
+    dt = np.diff(times)
+    h = float(dt[0])
+    if np.max(np.abs(dt - h)) > UNIFORMITY_RTOL * max(h, 1.0):
+        raise NonUniformGrid("time grid is not uniform")
+    return h
 
 
 @dataclass
@@ -46,25 +55,19 @@ class Trajectory:
 
     def spacing(self) -> float:
         """Uniform grid step; raises NonUniformGrid when spacing varies."""
-        dt = np.diff(self.times)
-        h = float(dt[0])
-        if np.max(np.abs(dt - h)) > UNIFORMITY_RTOL * max(h, 1.0):
-            raise NonUniformGrid("trajectory grid is not uniform")
-        return h
+        return uniform_step(self.times)
+
+    def nearest_index(self, t: float) -> int:
+        """Index of the node nearest to time t, clamped to the grid."""
+        idx = int(round((t - self.times[0]) / self.spacing()))
+        return min(max(idx, 0), self.n_nodes - 1)
 
     def index_of(self, t: float) -> int:
         """Grid index of time t; raises OffGrid when t is not a node."""
-        h = self.spacing()
-        idx = int(round((t - self.times[0]) / h))
-        if idx < 0 or idx >= self.n_nodes or abs(self.times[idx] - t) > 1e-9 * max(1.0, abs(t)):
+        idx = self.nearest_index(t)
+        if abs(self.times[idx] - t) > 1e-9 * max(1.0, abs(t)):
             raise OffGrid(f"time {t} is not a grid node")
         return idx
-
-    def state_at(self, t: float) -> np.ndarray:
-        return self.states[self.index_of(t)]
-
-    def velocity_at(self, t: float) -> np.ndarray:
-        return self.velocities[self.index_of(t)]
 
 
 def default_steps(T: float) -> int:
@@ -88,7 +91,7 @@ def gradient_flow(P: Potential, x0, T: float, steps: int | None = None) -> Traje
     if steps < 2:
         raise ValueError("steps must be >= 2")
 
-    feasible = P.in_domain if P.domain != "all_space" else None
+    feasible = P.in_domain if P.domain != ALL_SPACE else None
     states = integrate_grid(lambda z: -P.grad_many(z[None, :])[0], x0, T, steps, feasible)
     times = np.linspace(0.0, T, steps + 1)
     velocities = -P.grad_many(states)

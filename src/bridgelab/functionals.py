@@ -3,13 +3,15 @@ and the concavity profiles used by the long-time estimates."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .bridge import SolverOptions, solve_bridge
-from .errors import NonUniformGrid
-from .flow import Trajectory
+from .flow import Trajectory, uniform_step
 from .potential import Potential
+
+if TYPE_CHECKING:
+    from .bridge import SolverOptions
 
 
 @dataclass
@@ -81,6 +83,9 @@ def envelope_check(P: Potential, x, y, T: float, h: float,
     quantity); all three solves share the same options so quadrature bias
     cancels in the difference.
     """
+    # the bridge module builds its solutions from this module's cost and energy
+    from .bridge import SolverOptions, solve_bridge
+
     if T - h <= 0:
         raise ValueError("need T - h > 0")
     opts = opts or SolverOptions()
@@ -98,10 +103,7 @@ def concavity_profile(times, phi_values, a: float) -> ConcavityProfile:
     phi_values = np.asarray(phi_values, dtype=float)
     if times.ndim != 1 or times.shape != phi_values.shape or times.size < 3:
         raise ValueError("need matching 1-d arrays with at least 3 samples")
-    dt = np.diff(times)
-    h = float(dt[0])
-    if np.max(np.abs(dt - h)) > 1e-12 * max(h, 1.0):
-        raise NonUniformGrid("concavity profiles need a uniform grid")
+    h = uniform_step(times)
     lam = np.exp(-a * phi_values)
     d2 = (lam[2:] - 2.0 * lam[1:-1] + lam[:-2]) / (h * h)
     k = int(np.argmax(d2))
@@ -124,10 +126,7 @@ def cumulative_integral(times, values) -> np.ndarray:
     f = np.asarray(values, dtype=float)
     if t.shape != f.shape or t.size < 3:
         raise ValueError("need matching 1-d arrays with at least 3 samples")
-    dt = np.diff(t)
-    h = float(dt[0])
-    if np.max(np.abs(dt - h)) > 1e-12 * max(h, 1.0):
-        raise NonUniformGrid("cumulative integration needs a uniform grid")
+    h = uniform_step(t)
     n = t.size
     out = np.zeros(n)
     # parabola through (i-1, i, i+1) integrated over [i, i+1]

@@ -33,13 +33,24 @@ def as_point(x, dim: int) -> np.ndarray:
     return x
 
 
+def _by_shape(point_fn, rows_fn):
+    """One callable for a point (d,) and for rows (m, d), dispatching on ndim."""
+    return lambda X: point_fn(X) if X.ndim == 1 else rows_fn(X)
+
+
 class Potential:
     """A twice differentiable convex function together with its certificates.
 
+    ``value_fn``, ``grad_fn`` and ``force_fn`` (the force F''(x) F'(x)) are
+    shape-agnostic: each takes a point (d,) or rows (m, d) and does no domain
+    check. Builtin constructors supply vectorised expressions; ``custom()``
+    wraps the user's pointwise functions and loops over the checked pointwise
+    methods for rows. ``hess_apply_fn(x, v)`` takes a point and a direction.
+    The pointwise methods check the point's shape and domain; the ``*_many``
+    methods call the callables on the rows as they are.
+
     Instances are immutable after construction and all evaluations are pure,
-    so they are safe to share across threads. ``force_fn`` is the force
-    expression F''(x) F'(x) of a builtin kind, evaluated on a point or on
-    (m, d) rows without any domain check; it is None for custom potentials.
+    so they are safe to share across threads.
     """
 
     def __init__(
@@ -50,12 +61,11 @@ class Potential:
         rho: Optional[float],
         n_dim: float,
         domain: str,
-        value_fn: Callable[[np.ndarray], float],
-        grad_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-        hess_apply_fn: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None,
-        force_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+        value_fn: Callable[[np.ndarray], np.ndarray],
+        grad_fn: Callable[[np.ndarray], np.ndarray],
+        hess_apply_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
+        force_fn: Callable[[np.ndarray], np.ndarray],
         minimizer: Optional[np.ndarray] = None,
-        matrix: Optional[np.ndarray] = None,
     ):
         if dim < 1:
             raise ValueError("dim must be a positive integer")
@@ -64,7 +74,6 @@ class Potential:
         self.rho = None if rho is None else float(rho)
         self.n_dim = float(n_dim)
         self.domain = domain
-        self.matrix = None if matrix is None else np.array(matrix, dtype=float)
         self._value_fn = value_fn
         self._grad_fn = grad_fn
         self._hess_apply_fn = hess_apply_fn
@@ -82,8 +91,9 @@ class Potential:
             rho=1.0,
             n_dim=np.inf,
             domain=ALL_SPACE,
-            value_fn=lambda x: 0.5 * float(np.dot(x, x)),
-            grad_fn=lambda x: x.copy(),
+            value_fn=_by_shape(lambda x: 0.5 * float(np.dot(x, x)),
+                               lambda X: 0.5 * np.sum(X * X, axis=1)),
+            grad_fn=lambda X: X.copy(),
             hess_apply_fn=lambda x, v: v.copy(),
             force_fn=lambda X: X.copy(),
             minimizer=np.zeros(dim),
@@ -91,7 +101,11 @@ class Potential:
 
     @classmethod
     def quadratic_matrix(cls, matrix) -> "Potential":
-        """F(x) = x . A x / 2 for symmetric A; rho is the smallest eigenvalue."""
+        """F(x) = x . A x / 2 for symmetric A; rho is the smallest eigenvalue.
+
+        A point and rows round differently (A(Ax) against (XA)A), so each
+        callable keeps its own expression for each shape.
+        """
         A = np.array(matrix, dtype=float)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError("matrix must be square")
@@ -100,23 +114,18 @@ class Potential:
         dim = A.shape[0]
         lam_min = float(np.linalg.eigvalsh(A)[0])
         minimizer = np.zeros(dim) if lam_min > 0 else None
-
-        def force(X):
-            # a point rounds as hess_apply(x, grad(x)) = A(Ax); rows as (XA)A
-            return A @ (A @ X) if X.ndim == 1 else (X @ A) @ A
-
         return cls(
             QUADRATIC_MATRIX,
             dim,
             rho=lam_min,
             n_dim=np.inf,
             domain=ALL_SPACE,
-            value_fn=lambda x: 0.5 * float(x @ A @ x),
-            grad_fn=lambda x: A @ x,
+            value_fn=_by_shape(lambda x: 0.5 * float(x @ A @ x),
+                               lambda X: 0.5 * np.sum((X @ A) * X, axis=1)),
+            grad_fn=_by_shape(lambda x: A @ x, lambda X: X @ A),
             hess_apply_fn=lambda x, v: A @ v,
-            force_fn=force,
+            force_fn=_by_shape(lambda x: A @ (A @ x), lambda X: (X @ A) @ A),
             minimizer=minimizer,
-            matrix=A,
         )
 
     @classmethod
@@ -128,8 +137,8 @@ class Potential:
             rho=0.0,
             n_dim=float(dim),
             domain=POSITIVE_ORTHANT,
-            value_fn=lambda x: float(-np.sum(np.log(x))),
-            grad_fn=lambda x: -1.0 / x,
+            value_fn=lambda X: -np.sum(np.log(X), axis=-1),
+            grad_fn=lambda X: -1.0 / X,
             hess_apply_fn=lambda x, v: v / (x * x),
             force_fn=lambda X: -1.0 / (X * X * X),
         )
@@ -147,22 +156,51 @@ class Potential:
         domain: str = ALL_SPACE,
         minimizer=None,
     ) -> "Potential":
-        """User-supplied potential; missing derivatives fall back to central
-        differences (gradient step sqrt(eps)*(1+|x|), Hessian step
-        cbrt(eps)*(1+|x|)).
+        """User-supplied potential from pointwise functions; missing derivatives
+        fall back to central differences (gradient step sqrt(eps)*(1+|x|),
+        Hessian step cbrt(eps)*(1+|x|)).
+
+        Rows are evaluated one at a time through the checked pointwise
+        methods, so a row outside the domain raises DomainError. The force is
+        hess_apply(x, grad(x)), checked the same way.
 
         When ``rho`` is positive and no minimizer is given, the minimizer is
         located by descent until the gradient norm drops below 1e-10.
         """
+        dim = int(dim)
+
+        def fd_grad(x):
+            h = GRAD_STEP * (1.0 + float(np.linalg.norm(x)))
+            g = np.empty(dim)
+            for i in range(dim):
+                e = np.zeros(dim)
+                e[i] = h
+                g[i] = (value_fn(x + e) - value_fn(x - e)) / (2.0 * h)
+            return g
+
+        def fd_hess_apply(x, v):
+            nv = float(np.linalg.norm(v))
+            if nv == 0.0:
+                return np.zeros(dim)
+            h = HESS_STEP * (1.0 + float(np.linalg.norm(x)))
+            unit = v / nv
+            return (pot.grad(x + h * unit) - pot.grad(x - h * unit)) * (nv / (2.0 * h))
+
+        def force(x):
+            return pot.hess_apply(x, pot.grad(x))
+
+        # the closures read `pot` when they are called, after it is bound here
         pot = cls(
             CUSTOM,
             dim,
             rho=rho,
             n_dim=n_dim,
             domain=domain,
-            value_fn=value_fn,
-            grad_fn=grad_fn,
-            hess_apply_fn=hess_apply_fn,
+            value_fn=_by_shape(value_fn, lambda X: np.array([pot.value(row) for row in X])),
+            grad_fn=_by_shape(fd_grad if grad_fn is None else grad_fn,
+                              lambda X: np.array([pot.grad(row) for row in X])),
+            hess_apply_fn=fd_hess_apply if hess_apply_fn is None else hess_apply_fn,
+            force_fn=_by_shape(force, lambda X: np.array([force(row) for row in X])),
             minimizer=minimizer,
         )
         if pot.minimizer is None and rho is not None and rho > 0:
@@ -187,63 +225,38 @@ class Potential:
     # -- pointwise evaluation --------------------------------------------------
 
     def value(self, x) -> float:
-        x = self.check_domain(x)
-        return float(self._value_fn(x))
+        return float(self._value_fn(self.check_domain(x)))
 
     def grad(self, x) -> np.ndarray:
-        x = self.check_domain(x)
-        if self._grad_fn is not None:
-            return np.asarray(self._grad_fn(x), dtype=float)
-        return self._fd_grad(x)
+        return np.asarray(self._grad_fn(self.check_domain(x)), dtype=float)
 
     def hess_apply(self, x, v) -> np.ndarray:
         x = self.check_domain(x)
         v = as_point(v, self.dim)
         if not np.all(np.isfinite(v)):
             raise ValueError("direction must be finite")
-        if self._hess_apply_fn is not None:
-            return np.asarray(self._hess_apply_fn(x, v), dtype=float)
-        return self._fd_hess_apply(x, v)
+        return np.asarray(self._hess_apply_fn(x, v), dtype=float)
 
     def hess_grad(self, x) -> np.ndarray:
         """F''(x) F'(x), the force field of the Newton boundary-value problem.
 
         Like every public pointwise method it checks the point's shape and
         domain on entry (DomainError outside). The shooting integrator does
-        not come through here for builtin kinds: it checks each RK4 stage
-        state once with its own guard and then calls ``force_fn``.
+        not come through here: it checks each RK4 stage state once with its
+        own guard and then calls ``force_fn``.
         """
-        if self.force_fn is None:
-            return self.hess_apply(x, self.grad(x))
         return self.force_fn(self.check_domain(x))
 
     # -- vectorized evaluation over a batch of points ---------------------------
 
     def value_many(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        if self.kind == QUADRATIC_ISOTROPIC:
-            return 0.5 * np.sum(X * X, axis=1)
-        if self.kind == QUADRATIC_MATRIX:
-            return 0.5 * np.sum((X @ self.matrix) * X, axis=1)
-        if self.kind == NEG_LOG:
-            return -np.sum(np.log(X), axis=1)
-        return np.array([self.value(row) for row in X])
+        return self._value_fn(np.asarray(X, dtype=float))
 
     def grad_many(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        if self.kind == QUADRATIC_ISOTROPIC:
-            return X.copy()
-        if self.kind == QUADRATIC_MATRIX:
-            return X @ self.matrix
-        if self.kind == NEG_LOG:
-            return -1.0 / X
-        return np.array([self.grad(row) for row in X])
+        return self._grad_fn(np.asarray(X, dtype=float))
 
     def hess_grad_many(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        if self.force_fn is None:
-            return np.array([self.hess_grad(row) for row in X])
-        return self.force_fn(X)
+        return self.force_fn(np.asarray(X, dtype=float))
 
     # -- convexity certificate ----------------------------------------------
 
@@ -263,24 +276,7 @@ class Potential:
             out -= float(np.dot(self.grad(x), v)) ** 2 / self.n_dim
         return out
 
-    # -- finite-difference fallbacks ------------------------------------------
-
-    def _fd_grad(self, x: np.ndarray) -> np.ndarray:
-        h = GRAD_STEP * (1.0 + float(np.linalg.norm(x)))
-        g = np.empty(self.dim)
-        for i in range(self.dim):
-            e = np.zeros(self.dim)
-            e[i] = h
-            g[i] = (self._value_fn(x + e) - self._value_fn(x - e)) / (2.0 * h)
-        return g
-
-    def _fd_hess_apply(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        nv = float(np.linalg.norm(v))
-        if nv == 0.0:
-            return np.zeros(self.dim)
-        h = HESS_STEP * (1.0 + float(np.linalg.norm(x)))
-        unit = v / nv
-        return (self.grad(x + h * unit) - self.grad(x - h * unit)) * (nv / (2.0 * h))
+    # -- minimizer search --------------------------------------------------------
 
     def _locate_minimizer(self) -> np.ndarray:
         x = np.zeros(self.dim)

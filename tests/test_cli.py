@@ -1,8 +1,10 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from bridgelab import OffGrid, Potential, SolverOptions, gradient_flow, solve_bridge
 from bridgelab.cli import main
 from bridgelab.config import builtin_config_names, load_builtin_config, resolve_config
 from bridgelab.errors import ConfigError
@@ -48,6 +50,28 @@ def test_run_rejects_bad_mode_and_missing_file(tmp_path):
     cfg = write_config(tmp_path, {**BASE, "mode": "dance"})
     assert main(["run", str(cfg)]) == 1
     assert main(["run", str(tmp_path / "missing.json")]) == 1
+
+
+@pytest.mark.parametrize(
+    "patch",
+    [
+        {"T_values": [1.0, "two"]},
+        {"T_values": [1.0, None]},
+        {"theta_values": ["half"]},
+        {"t_fractions": [0.5, [0.7]]},
+        {"quad_steps": "many"},
+        {"quad_steps": 5},
+        {"endpoints": [2.0, 1.0]},
+        {"outputs": "out"},
+        {"solver": {"method": "shooting", "grid_points": 2}},
+    ],
+    ids=["T_text", "T_null", "theta_text", "t_fraction_list", "quad_steps_text",
+         "quad_steps_small", "endpoints_list", "outputs_text", "grid_points_small"],
+)
+def test_malformed_config_is_a_config_error(tmp_path, capsys, patch):
+    cfg = write_config(tmp_path, {**BASE, **patch})
+    assert main(["run", str(cfg), "--out-dir", str(tmp_path / "results")]) == 1
+    assert capsys.readouterr().err.startswith("config error:")
 
 
 def test_run_rejects_dimension_mismatch(tmp_path):
@@ -127,6 +151,27 @@ def test_sweep_mode_emits_fits(tmp_path):
     rows = {(r.split(",")[0], r.split(",")[1]): r.split(",") for r in fits[1:]}
     exp = float(rows[("dist_flow_t1", "exponential")][2])
     assert exp == pytest.approx(-1.0, abs=0.05)
+
+
+def test_sweep_interpolates_the_bridge_when_t1_is_off_the_grid(tmp_path):
+    # 8 nodes on [0, 2] put t = 1 halfway between the nodes 6/7 and 8/7
+    solver = {"method": "shooting", "grid_points": 8}
+    cfg = write_config(tmp_path, {**BASE, "mode": "sweep", "T_values": [2.0], "solver": solver})
+    out = tmp_path / "results"
+    assert main(["run", str(cfg), "--out-dir", str(out)]) == 0
+    row = (out / "case_sweep.csv").read_text(encoding="utf-8").splitlines()[1].split(",")
+
+    P = Potential.quadratic_isotropic(1)
+    traj = solve_bridge(P, [2.0], [1.0], 2.0, SolverOptions(**solver)).trajectory
+    with pytest.raises(OffGrid):
+        traj.index_of(1.0)
+    i = int(np.searchsorted(traj.times, 1.0)) - 1
+    w = (1.0 - traj.times[i]) / (traj.times[i + 1] - traj.times[i])
+    flow_t1 = gradient_flow(P, [2.0], 1.0, steps=200).states[-1]
+    dists = [float(np.linalg.norm(s - flow_t1)) for s in
+             ((1.0 - w) * traj.states[i] + w * traj.states[i + 1], traj.states[i], traj.states[i + 1])]
+    assert float(row[4]) == pytest.approx(dists[0], rel=1e-12, abs=0.0)
+    assert float(row[4]) not in dists[1:]
 
 
 def test_flow_mode(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 
 from bridgelab import (
     DomainEscape,
+    OffGrid,
     Potential,
     Trajectory,
     UnsupportedKind,
@@ -118,3 +119,13 @@ def test_trajectory_validation():
         Trajectory(np.array([0.0]), np.zeros((1, 1)), np.zeros((1, 1)))
     traj = Trajectory(np.array([0.0, 0.5, 1.0]), np.zeros((3, 2)), np.zeros((3, 2)))
     assert traj.dim == 2 and traj.spacing() == 0.5
+
+
+def test_nearest_index_clamps_and_index_of_rejects_off_node_times():
+    traj = Trajectory(np.linspace(0.0, 1.0, 5), np.zeros((5, 1)), np.zeros((5, 1)))
+    assert traj.nearest_index(-3.0) == 0 and traj.nearest_index(7.0) == 4
+    assert traj.nearest_index(0.3) == 1 and traj.nearest_index(0.4) == 2
+    assert traj.index_of(0.5) == 2 and traj.index_of(1.0) == 4
+    for t in (0.3, -0.25, 1.25):
+        with pytest.raises(OffGrid):
+            traj.index_of(t)

@@ -2,6 +2,29 @@ import numpy as np
 import pytest
 
 from bridgelab import DomainError, Potential
+from bridgelab.potential import POSITIVE_ORTHANT
+
+EPS = np.finfo(float).eps
+A3 = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, -0.2], [0.0, -0.2, 3.0]])
+
+
+def log_cosh(dim, analytic=True, domain="all_space"):
+    """F(x) = sum(log cosh x_i) + |x|^2/2, with or without analytic derivatives."""
+    derivs = {}
+    if analytic:
+        derivs = dict(grad_fn=lambda x: np.tanh(x) + x,
+                      hess_apply_fn=lambda x, v: (1.0 / np.cosh(x) ** 2 + 1.0) * v)
+    return Potential.custom(
+        dim, lambda x: float(np.sum(np.log(np.cosh(x)))) + 0.5 * float(x @ x),
+        domain=domain, **derivs,
+    )
+
+
+def rows_and_points(P, X):
+    """(row evaluation, stacked pointwise evaluation) for value, grad and force."""
+    rows = (P.value_many(X), P.grad_many(X), P.hess_grad_many(X))
+    points = tuple(np.array([f(x) for x in X]) for f in (P.value, P.grad, P.hess_grad))
+    return zip(("value", "grad", "force"), rows, points)
 
 
 def test_quadratic_value_grad_hess():
@@ -147,3 +170,48 @@ def test_potential_from_config_roundtrip():
     assert Q.rho == pytest.approx(1.0)
     with pytest.raises(ValueError):
         potential_from_config({"kind": "mystery"})
+
+
+@pytest.mark.parametrize(
+    "P",
+    [Potential.neg_log(1), Potential.neg_log(3), log_cosh(2), log_cosh(2, analytic=False)],
+    ids=["neg_log_1", "neg_log_3", "custom_analytic", "custom_fd"],
+)
+def test_row_evaluators_equal_stacked_pointwise_results(P):
+    X = np.random.default_rng(17).uniform(0.3, 3.0, size=(9, P.dim))
+    for name, rows, points in rows_and_points(P, X):
+        assert np.array_equal(rows, points), name
+
+
+@pytest.mark.parametrize(
+    "P, A, exact",
+    [
+        (Potential.quadratic_isotropic(1), np.eye(1), {"value", "grad", "force"}),
+        (Potential.quadratic_isotropic(3), np.eye(3), {"grad", "force"}),
+        (Potential.quadratic_matrix(A3), A3, set()),
+    ],
+    ids=["isotropic_1", "isotropic_3", "matrix_3"],
+)
+def test_quadratic_row_evaluators_match_pointwise_up_to_rounding(P, A, exact):
+    # rows and points use different products (sum(X*X) against dot(x, x),
+    # (XA)A against A(Ax)); both sit within 4*d*eps of the same value, in
+    # units of the same expression evaluated on absolute values
+    X = np.random.default_rng(19).normal(size=(9, P.dim))
+    scales = dict(zip(("value", "grad", "force"),
+                      (0.5 * np.sum((np.abs(X) @ np.abs(A)) * np.abs(X), axis=1),
+                       np.abs(X) @ np.abs(A),
+                       np.abs(X) @ np.abs(A) @ np.abs(A))))
+    for name, rows, points in rows_and_points(P, X):
+        assert rows.shape == points.shape, name
+        if name in exact:
+            assert np.array_equal(rows, points), name
+        else:
+            assert np.all(np.abs(rows - points) <= 4 * P.dim * EPS * scales[name]), name
+
+
+def test_custom_rows_outside_the_domain_raise():
+    P = log_cosh(2, domain=POSITIVE_ORTHANT)
+    X = np.array([[1.0, 2.0], [0.5, -1.0]])
+    for many in (P.value_many, P.grad_many, P.hess_grad_many):
+        with pytest.raises(DomainError):
+            many(X)

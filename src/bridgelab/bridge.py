@@ -26,9 +26,9 @@ from .flow import Trajectory, default_steps
 from .functionals import action_cost, conserved_energy
 from .potential import ALL_SPACE, NEG_LOG, QUADRATIC_ISOTROPIC, Potential
 
-#: Shooting switches to the unit-interval parametrization above this horizon
-#: for potentials with a positive convexity bound.
-SCALED_TIME_THRESHOLD = 30.0
+#: Beyond this horizon ``auto`` sends potentials with a positive convexity
+#: bound straight to the action route (see ``solve_bridge``).
+AUTO_ACTION_HORIZON = 30.0
 
 
 @dataclass
@@ -45,8 +45,6 @@ class SolverOptions:
     tol_boundary: float = 1e-9
     grid_points: int | None = None
     restarts: int = 5
-    action_max_iter: int = 100000
-    action_gtol: float = 1e-8
 
     def nodes(self, T: float) -> int:
         if self.grid_points is not None:
@@ -103,14 +101,9 @@ def _finish_solution(traj, P, solver, boundary_error, iterations, **context) -> 
 # -- shooting -----------------------------------------------------------------
 
 
-def _integrate_phase(P: Potential, x: np.ndarray, v0: np.ndarray, T: float, steps: int,
-                     scaled: bool) -> np.ndarray:
-    """Integrate the phase-space Newton system; returns (steps+1, 2d) states.
-
-    With ``scaled`` the system is integrated in s = t/T over [0, 1] carrying
-    the velocity T*v, which keeps the step count decoupled from the horizon
-    for long-time solves.
-    """
+def _integrate_phase(P: Potential, x: np.ndarray, v0: np.ndarray, T: float,
+                     steps: int) -> np.ndarray:
+    """Integrate the phase-space Newton system; returns (steps+1, 2d) states."""
     d = P.dim
     # integrate_grid runs `feasible` on every stage state before rhs sees it,
     # so the force is evaluated without checking the state again
@@ -121,17 +114,6 @@ def _integrate_phase(P: Potential, x: np.ndarray, v0: np.ndarray, T: float, step
     else:
         def feasible(z):
             return P.in_domain(z[:d])
-
-    if scaled:
-        T2 = T * T
-
-        def rhs(z):
-            return np.concatenate([z[d:], T2 * force(z[:d])])
-
-        z0 = np.concatenate([x, T * v0])
-        out = integrate_grid(rhs, z0, 1.0, steps, feasible)
-        out[:, d:] /= T
-        return out
 
     def rhs(z):
         return np.concatenate([z[d:], force(z[:d])])
@@ -174,11 +156,10 @@ def solve_bridge_shooting(P: Potential, x, y, T: float, opts: SolverOptions | No
         raise ValueError("T must be positive")
     d = P.dim
     steps = opts.nodes(T) - 1
-    scaled = P.rho is not None and P.rho > 0 and T > SCALED_TIME_THRESHOLD
 
     def landing_error(v0):
         try:
-            phase = _integrate_phase(P, x, v0, T, steps, scaled)
+            phase = _integrate_phase(P, x, v0, T, steps)
         except (DomainEscape, NonFinite):
             return np.inf, None
         err = float(np.max(np.abs(phase[-1, :d] - y)))
@@ -317,14 +298,19 @@ def solve_bridge_action(P: Potential, x, y, T: float, grid_points: int | None = 
         dJ += 2.0 * w[:, None] * P.hess_grad_many(path)
         return J, dJ[1:-1].ravel()
 
-    z, iterations = _lbfgs(fun_grad, path0[1:-1].ravel(),
-                           gtol=opts.action_gtol, max_iter=opts.action_max_iter)
+    z, iterations = _lbfgs(fun_grad, path0[1:-1].ravel())
     path = assemble(z)
     traj = Trajectory(np.linspace(0.0, T, n_nodes), path, _velocity_matrix_apply(path, h))
     return _finish_solution(traj, P, "action", 0.0, iterations, grid_points=n_nodes)
 
 
-def _lbfgs(fun_grad, z0, *, gtol, max_iter, memory=12):
+#: Action descent stops once the gradient sup-norm is below ACTION_GTOL and
+#: raises MaxIterations after ACTION_MAX_ITER iterations.
+ACTION_GTOL = 1e-8
+ACTION_MAX_ITER = 100000
+
+
+def _lbfgs(fun_grad, z0, memory=12):
     """Two-loop L-BFGS with Armijo backtracking.
 
     Exits on the gradient sup-norm test, or once descent stalls at the
@@ -337,9 +323,9 @@ def _lbfgs(fun_grad, z0, *, gtol, max_iter, memory=12):
         raise DomainEscape("initial action path is infeasible")
     s_hist, y_hist, rho_hist = [], [], []
     flats = 0
-    for it in range(max_iter):
+    for it in range(ACTION_MAX_ITER):
         gsup = float(np.max(np.abs(g)))
-        if gsup < gtol:
+        if gsup < ACTION_GTOL:
             return z, it
         # two-loop recursion
         q = g.copy()
@@ -371,7 +357,7 @@ def _lbfgs(fun_grad, z0, *, gtol, max_iter, memory=12):
         if stalled:
             flats += 1
             if flats >= 5:
-                if gsup <= 1e3 * gtol:
+                if gsup <= 1e3 * ACTION_GTOL:
                     return z, it
                 raise MaxIterations("action descent stalled before the gradient test")
             if not accepted:
@@ -398,7 +384,7 @@ def solve_bridge(P: Potential, x, y, T: float, opts: SolverOptions | None = None
     """Dispatch on opts.method; ``auto`` falls back to action minimization.
 
     For strongly convex potentials the landing map of single shooting is
-    exp(rho T)-sensitive, so beyond SCALED_TIME_THRESHOLD the boundary
+    exp(rho T)-sensitive, so beyond AUTO_ACTION_HORIZON the boundary
     tolerance is unreachable in double precision; auto then goes straight
     to the action route.
     """
@@ -409,7 +395,7 @@ def solve_bridge(P: Potential, x, y, T: float, opts: SolverOptions | None = None
         return solve_bridge_action(P, x, y, T, opts=opts)
     if opts.method != "auto":
         raise ValueError(f"unknown solver method {opts.method!r}")
-    if P.rho is not None and P.rho > 0 and T > SCALED_TIME_THRESHOLD:
+    if P.rho is not None and P.rho > 0 and T > AUTO_ACTION_HORIZON:
         return solve_bridge_action(P, x, y, T, opts=opts)
     try:
         return solve_bridge_shooting(P, x, y, T, opts)
@@ -428,80 +414,73 @@ def reverse_solution(sol: BridgeSolution) -> BridgeSolution:
 # -- closed forms ---------------------------------------------------------------
 
 
-def _quadratic_coeffs(x: np.ndarray, y: np.ndarray, T: float):
-    em = math.exp(-T)
-    den = 1.0 - math.exp(-2.0 * T)
-    alpha = (x - y * em) / den
-    beta = (y - x * em) / den
-    return alpha, beta
+def _closed_form(kind: str, x, y, T: float):
+    """(path, energy, cost) of the exact interpolation, where known.
 
-
-def _neglog_equal_energy(x: float, T: float) -> float:
-    return 2.0 * (x * x - math.sqrt(x**4 + T * T)) / (T * T)
-
-
-def closed_form_energy(kind: str, x, y, T: float) -> float:
-    """Exact conserved quantity of the interpolation, where known."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if kind == QUADRATIC_ISOTROPIC:
-        alpha, beta = _quadratic_coeffs(x, y, T)
-        return float(-4.0 * math.exp(-T) * np.dot(alpha, beta))
-    if kind == NEG_LOG:
-        _require_neglog_endpoints(x, y)
-        return _neglog_equal_energy(float(x[0]), T)
-    raise UnsupportedKind(f"no closed-form energy for kind {kind!r}")
-
-
-def closed_form_cost(kind: str, x, y, T: float) -> float:
-    """Exact interpolation cost, where known.
-
-    For the log potential (equal endpoints) the kinetic part integrates to
-    -4 A(v0) with A(v) = sqrt(1-v^2) - log((1+sqrt(1-v^2))/v) evaluated at
+    ``path(t)`` gives (states, velocities) at one time or on an array of
+    times; a single time is evaluated with ``math``, whose exp can differ
+    from numpy's in the last bit. ``cost()`` is evaluated on demand. For the
+    log potential (equal endpoints) the kinetic part integrates to -4 A(v0)
+    with A(v) = sqrt(1-v^2) - log((1+sqrt(1-v^2))/v) evaluated at
     v0 = sqrt(-E) x, which combines with the conserved quantity into
     C = -4 A(v0) - T E.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if kind == QUADRATIC_ISOTROPIC:
-        alpha, beta = _quadratic_coeffs(x, y, T)
-        return float((1.0 - math.exp(-2.0 * T)) * (np.dot(alpha, alpha) + np.dot(beta, beta)))
-    if kind == NEG_LOG:
-        _require_neglog_endpoints(x, y)
-        x0 = float(x[0])
-        E = _neglog_equal_energy(x0, T)
-        v0 = math.sqrt(-E) * x0
-        root = math.sqrt(1.0 - v0 * v0)
-        A = root - math.log((1.0 + root) / v0)
-        return -4.0 * A - T * E
-    raise UnsupportedKind(f"no closed-form cost for kind {kind!r}")
+        em = math.exp(-T)
+        den = 1.0 - math.exp(-2.0 * T)
+        alpha = (x - y * em) / den
+        beta = (y - x * em) / den
 
+        def path(t):
+            m = math if np.ndim(t) == 0 else np
+            down = np.multiply.outer(m.exp(-t), alpha)
+            up = np.multiply.outer(m.exp(-(T - t)), beta)
+            return down + up, up - down
 
-def _require_neglog_endpoints(x: np.ndarray, y: np.ndarray):
+        return (path, float(-4.0 * em * np.dot(alpha, beta)),
+                lambda: float(den * (np.dot(alpha, alpha) + np.dot(beta, beta))))
+    if kind != NEG_LOG:
+        raise UnsupportedKind(f"no closed form for kind {kind!r}")
     if x.shape != (1,) or y.shape != (1,):
         raise UnsupportedEndpoints("the log-potential closed form is one-dimensional")
     if x[0] != y[0]:
         raise UnsupportedEndpoints("the log-potential closed form needs equal endpoints")
     if x[0] <= 0:
         raise UnsupportedEndpoints("endpoints must be positive")
+    x0 = float(x[0])
+    E = 2.0 * (x0 * x0 - math.sqrt(x0**4 + T * T)) / (T * T)
+
+    def path(t):
+        m = math if np.ndim(t) == 0 else np
+        s = math.sqrt(1.0 + E * x0 * x0)
+        r = m.sqrt(x0 * x0 + t * t * E + 2.0 * t * s)
+        return np.expand_dims(r, -1), np.expand_dims(np.divide(t * E + s, r), -1)
+
+    def cost():
+        v0 = math.sqrt(-E) * x0
+        root = math.sqrt(1.0 - v0 * v0)
+        return -4.0 * (root - math.log((1.0 + root) / v0)) - T * E
+
+    return path, E, cost
+
+
+def closed_form_energy(kind: str, x, y, T: float) -> float:
+    """Exact conserved quantity of the interpolation, where known."""
+    return _closed_form(kind, x, y, T)[1]
+
+
+def closed_form_cost(kind: str, x, y, T: float) -> float:
+    """Exact interpolation cost, where known."""
+    return _closed_form(kind, x, y, T)[2]()
 
 
 def closed_form_bridge(kind: str, x, y, T: float, t: float) -> np.ndarray:
     """Exact interpolation point at time t in [0, T], where known."""
     if not 0.0 <= t <= T:
         raise ValueError("t must lie in [0, T]")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if kind == QUADRATIC_ISOTROPIC:
-        alpha, beta = _quadratic_coeffs(x, y, T)
-        return math.exp(-t) * alpha + math.exp(-(T - t)) * beta
-    if kind == NEG_LOG:
-        _require_neglog_endpoints(x, y)
-        x0 = float(x[0])
-        E = _neglog_equal_energy(x0, T)
-        val = x0 * x0 + t * t * E + 2.0 * t * math.sqrt(1.0 + E * x0 * x0)
-        return np.array([math.sqrt(val)])
-    raise UnsupportedKind(f"no closed-form interpolation for kind {kind!r}")
+    return _closed_form(kind, x, y, T)[0](t)[0]
 
 
 def closed_form_bridge_trajectory(kind: str, x, y, T: float, steps: int) -> Trajectory:
@@ -509,29 +488,10 @@ def closed_form_bridge_trajectory(kind: str, x, y, T: float, steps: int) -> Traj
     if steps < 2:
         raise ValueError("steps must be >= 2")
     times = np.linspace(0.0, T, steps + 1)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if kind == QUADRATIC_ISOTROPIC:
-        alpha, beta = _quadratic_coeffs(x, y, T)
-        down = np.exp(-times)[:, None]
-        up = np.exp(-(T - times))[:, None]
-        states = down * alpha[None, :] + up * beta[None, :]
-        velocities = -down * alpha[None, :] + up * beta[None, :]
-        return Trajectory(times, states, velocities)
-    if kind == NEG_LOG:
-        _require_neglog_endpoints(x, y)
-        x0 = float(x[0])
-        E = _neglog_equal_energy(x0, T)
-        s = math.sqrt(1.0 + E * x0 * x0)
-        sq = x0 * x0 + times * times * E + 2.0 * times * s
-        states = np.sqrt(sq)[:, None]
-        velocities = ((times * E + s) / states[:, 0])[:, None]
-        return Trajectory(times, states, velocities)
-    raise UnsupportedKind(f"no closed-form interpolation for kind {kind!r}")
+    return Trajectory(times, *_closed_form(kind, x, y, T)[0](times))
 
 
 def closed_form_solution(kind: str, P: Potential, x, y, T: float, steps: int) -> BridgeSolution:
     """Package a closed-form trajectory with the usual diagnostics."""
     traj = closed_form_bridge_trajectory(kind, x, y, T, steps)
-    sol = _finish_solution(traj, P, "closed_form", 0.0, 0)
-    return sol
+    return _finish_solution(traj, P, "closed_form", 0.0, 0)

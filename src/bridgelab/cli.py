@@ -80,13 +80,6 @@ def _solution_diagnostics(T, sol):
     }
 
 
-class _CaseFailure(Exception):
-    def __init__(self, T, err):
-        super().__init__(str(err))
-        self.T = T
-        self.err = err
-
-
 def _map_cases(fn, T_values, threads: int, keep_going: bool):
     """Run fn(T) per case, serially or on a thread pool; aggregate failures."""
     results, failures = {}, {}
@@ -163,8 +156,8 @@ def run(config: ExperimentConfig, *, keep_going: bool = False, threads: int = 1,
 
         def gaussian_case(T):
             gb = GaussianBridge(float(config.x[0]), float(config.y[0]), T)
-            cost = gaussian_cost(gb, config.quad_steps)
-            exp = gamma_expansion(gb, config.quad_steps) if T >= 1 else None
+            cost = gaussian_cost(gb)
+            exp = gamma_expansion(gb) if T >= 1 else None
             t_probe = min(1.0, T / 2.0)
             return {
                 "cost": cost,

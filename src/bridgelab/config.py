@@ -29,75 +29,70 @@ class ExperimentConfig:
     solver: SolverOptions
     csv_dir: Path
     json_path: Path
-    quad_steps: int = 200001
-
-
-def _fail(msg: str) -> ConfigError:
-    return ConfigError(msg)
 
 
 def _numbers(data: dict, key: str, default=None) -> list[float]:
     values = data.get(key, default)
     if not isinstance(values, list):
-        raise _fail(f"{key} must be a list of numbers")
+        raise ConfigError(f"{key} must be a list of numbers")
     try:
         return [float(v) for v in values]
     except (TypeError, ValueError) as exc:
-        raise _fail(f"{key} must be a list of numbers") from exc
+        raise ConfigError(f"{key} must be a list of numbers") from exc
 
 
 def parse_config(data: dict, *, name_hint: str = "config") -> ExperimentConfig:
     if not isinstance(data, dict):
-        raise _fail("config root must be a JSON object")
+        raise ConfigError("config root must be a JSON object")
     name = data.get("name", name_hint)
     mode = data.get("mode")
     if mode not in MODES:
-        raise _fail(f"mode must be one of {MODES}, got {mode!r}")
+        raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
 
     pot_desc = data.get("potential")
     if pot_desc is None and mode == "gaussian":
         # the closed-form family never evaluates it; dim 1 keeps validation going
         pot_desc = {"kind": "quadratic_isotropic", "dim": 1}
     if not isinstance(pot_desc, dict):
-        raise _fail("config needs a 'potential' object")
+        raise ConfigError("config needs a 'potential' object")
     try:
         potential = potential_from_config(pot_desc)
     except ValueError as exc:
-        raise _fail(str(exc)) from exc
+        raise ConfigError(str(exc)) from exc
 
     endpoints = data.get("endpoints") or {}
     if not isinstance(endpoints, dict):
-        raise _fail("'endpoints' must be an object")
+        raise ConfigError("'endpoints' must be an object")
     try:
         x = np.asarray(endpoints.get("x"), dtype=float).reshape(-1)
         y = np.asarray(endpoints.get("y", endpoints.get("x")), dtype=float).reshape(-1)
     except (TypeError, ValueError) as exc:
-        raise _fail("endpoints.x / endpoints.y must be numeric arrays") from exc
+        raise ConfigError("endpoints.x / endpoints.y must be numeric arrays") from exc
     if x.size != potential.dim or y.size != potential.dim:
-        raise _fail(
+        raise ConfigError(
             f"endpoint dimension mismatch: potential dim {potential.dim}, "
             f"got x:{x.size} y:{y.size}"
         )
 
     T_values = _numbers(data, "T_values")
     if not T_values:
-        raise _fail("T_values must be a nonempty list")
+        raise ConfigError("T_values must be a nonempty list")
     if any(t <= 0 for t in T_values) or any(b <= a for a, b in zip(T_values, T_values[1:])):
-        raise _fail("T_values must be positive and strictly increasing")
+        raise ConfigError("T_values must be positive and strictly increasing")
 
     theta_values = _numbers(data, "theta_values", [k / 10 for k in range(1, 10)])
     if any(not 0.0 < v < 1.0 for v in theta_values):
-        raise _fail("theta_values must lie strictly inside (0, 1)")
+        raise ConfigError("theta_values must lie strictly inside (0, 1)")
     t_fractions = _numbers(data, "t_fractions", [0.25, 0.5, 0.75])
     if any(not 0.0 < v < 1.0 for v in t_fractions):
-        raise _fail("t_fractions must lie strictly inside (0, 1)")
+        raise ConfigError("t_fractions must lie strictly inside (0, 1)")
 
     solver_desc = data.get("solver", {})
     if not isinstance(solver_desc, dict):
-        raise _fail("'solver' must be an object")
+        raise ConfigError("'solver' must be an object")
     method = solver_desc.get("method", "auto")
     if method not in METHODS:
-        raise _fail(f"solver.method must be one of {METHODS}, got {method!r}")
+        raise ConfigError(f"solver.method must be one of {METHODS}, got {method!r}")
     try:
         solver = SolverOptions(
             method=method,
@@ -108,25 +103,18 @@ def parse_config(data: dict, *, name_hint: str = "config") -> ExperimentConfig:
             ),
         )
     except (TypeError, ValueError) as exc:
-        raise _fail(f"bad solver options: {exc}") from exc
+        raise ConfigError(f"bad solver options: {exc}") from exc
     if solver.grid_points is not None and solver.grid_points < 3:
-        raise _fail("solver.grid_points must be >= 3")
+        raise ConfigError("solver.grid_points must be >= 3")
 
     outputs = data.get("outputs", {})
     if not isinstance(outputs, dict):
-        raise _fail("'outputs' must be an object")
+        raise ConfigError("'outputs' must be an object")
     try:
         csv_dir = Path(outputs.get("csv_dir", "out"))
         json_path = Path(outputs.get("json_path", str(csv_dir / f"{name}_summary.json")))
     except TypeError as exc:
-        raise _fail("outputs.csv_dir / outputs.json_path must be paths") from exc
-
-    try:
-        quad_steps = int(data.get("quad_steps", 200001))
-    except (TypeError, ValueError) as exc:
-        raise _fail("quad_steps must be an integer") from exc
-    if quad_steps < 10:
-        raise _fail("quad_steps must be >= 10")
+        raise ConfigError("outputs.csv_dir / outputs.json_path must be paths") from exc
 
     return ExperimentConfig(
         name=str(name),
@@ -140,7 +128,6 @@ def parse_config(data: dict, *, name_hint: str = "config") -> ExperimentConfig:
         solver=solver,
         csv_dir=csv_dir,
         json_path=json_path,
-        quad_steps=quad_steps,
     )
 
 
@@ -149,9 +136,9 @@ def load_config(path: str | Path) -> ExperimentConfig:
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
-        raise _fail(f"cannot read config {path}: {exc}") from exc
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise _fail(f"config {path} is not valid JSON: {exc}") from exc
+        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return parse_config(data, name_hint=path.stem)
 
 
@@ -165,7 +152,7 @@ def load_builtin_config(name: str) -> ExperimentConfig:
     try:
         data = json.loads(pkg.read_text(encoding="utf-8"))
     except FileNotFoundError as exc:
-        raise _fail(
+        raise ConfigError(
             f"no builtin config named {name!r}; available: {', '.join(builtin_config_names())}"
         ) from exc
     return parse_config(data, name_hint=name)
@@ -178,4 +165,4 @@ def resolve_config(spec: str | Path) -> ExperimentConfig:
         return load_config(path)
     if path.suffix == "" and "/" not in str(spec):
         return load_builtin_config(str(spec))
-    raise _fail(f"config file {spec} does not exist")
+    raise ConfigError(f"config file {spec} does not exist")

@@ -2,16 +2,14 @@
 
 Everything here is exact arithmetic on the bridge parameters: the marginal
 N(x_t, sigma_t) with sigma_t = 1 + 2 t (T - t) / (D_T^2 + T), the conserved
-quantity, the cost quadrature, the relative entropy against Lebesgue, and
-the long-horizon cost expansion. ``sigma`` always denotes a variance; the
+quantity, the cost, the relative entropy against Lebesgue, and the
+long-horizon cost expansion. ``sigma`` always denotes a variance; the
 quadratic-distance formula takes square roots internally.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import OutOfRange
 
@@ -54,12 +52,17 @@ def fluct_param(T: float) -> float:
     return math.sqrt((T - 1.0) ** 2 + 2.0 * T) - (T - 1.0)
 
 
-def bridge_marginal(gb: GaussianBridge, t: float) -> Gaussian1D:
-    """Marginal N(x_t, sigma_t) at time t in [0, T]."""
+def _variance(gb: GaussianBridge, t: float) -> float:
+    """sigma_t = 1 + 2 t (T - t) / (D_T^2 + T), for t in [0, T]."""
     if not 0.0 <= t <= gb.T:
         raise OutOfRange(f"t={t} outside [0, {gb.T}]")
+    return 1.0 + 2.0 * t * (gb.T - t) / gb.pool
+
+
+def bridge_marginal(gb: GaussianBridge, t: float) -> Gaussian1D:
+    """Marginal N(x_t, sigma_t) at time t in [0, T]."""
+    var = _variance(gb, t)
     mean = ((gb.T - t) * gb.x0 + t * gb.x1) / gb.T
-    var = 1.0 + 2.0 * t * (gb.T - t) / gb.pool
     return Gaussian1D(mean, var)
 
 
@@ -83,31 +86,27 @@ def gaussian_energy(gb: GaussianBridge, t: float) -> float:
     The expression is evaluated at t; conservation makes it t-independent,
     which the tests verify rather than assume.
     """
-    if not 0.0 <= t <= gb.T:
-        raise OutOfRange(f"t={t} outside [0, {gb.T}]")
-    K = gb.pool
-    sigma = 1.0 + 2.0 * t * (gb.T - t) / K
-    sigma_dot = 2.0 * (gb.T - 2.0 * t) / K
+    sigma = _variance(gb, t)
+    sigma_dot = 2.0 * (gb.T - 2.0 * t) / gb.pool
     drift = (gb.x1 - gb.x0) / gb.T
     return sigma_dot**2 / (4.0 * sigma) + drift * drift - 1.0 / sigma
 
 
-def gaussian_cost(gb: GaussianBridge, quad_steps: int = 100000) -> float:
-    """Composite Simpson quadrature of the closed-form cost integrand."""
-    if quad_steps < 10:
-        raise ValueError("quad_steps must be >= 10")
-    n = quad_steps + (quad_steps % 2)  # Simpson needs an even interval count
-    t = np.linspace(0.0, gb.T, n + 1)
-    K = gb.pool
-    sigma = 1.0 + 2.0 * t * (gb.T - t) / K
-    sigma_dot = 2.0 * (gb.T - 2.0 * t) / K
-    drift = (gb.x1 - gb.x0) / gb.T
-    integrand = sigma_dot**2 / (4.0 * sigma) + drift * drift + 1.0 / sigma
-    h = gb.T / n
-    return float(
-        h / 3.0 * (integrand[0] + integrand[-1]
-                   + 4.0 * np.sum(integrand[1:-1:2]) + 2.0 * np.sum(integrand[2:-2:2]))
-    )
+def gaussian_cost(gb: GaussianBridge, quad_steps=None) -> float:
+    """Exact cost, the integral of sigma'^2/(4 sigma) + ((x1-x0)/T)^2 + 1/sigma.
+
+    With K = D_T^2 + T and a = sqrt(K/2 + T^2/4),
+    C_T = (T^2/K^2 + 2/K + 1) (K/a) atanh(T/(2a)) + (x1-x0)^2/T - 2T/K.
+    The atanh is taken as log((a + T/2) / (a - T/2)) / 2 with
+    a - T/2 = (K/2) / (a + T/2), which stays exact as T/(2a) -> 1.
+    ``quad_steps`` is ignored; it is kept only so that callers written for
+    the former quadrature, which took a step count, still run.
+    """
+    T, K = gb.T, gb.pool
+    a = math.sqrt(K / 2.0 + T * T / 4.0)
+    atanh = 0.5 * math.log((a + T / 2.0) / ((K / 2.0) / (a + T / 2.0)))
+    return ((T * T / (K * K) + 2.0 / K + 1.0) * (K / a) * atanh
+            + (gb.x1 - gb.x0) ** 2 / T - 2.0 * T / K)
 
 
 def rel_entropy_gaussian(g: Gaussian1D) -> float:
@@ -123,7 +122,7 @@ class GammaExpansion:
     first_order_target: float
 
 
-def gamma_expansion(gb: GaussianBridge, quad_steps: int = 2000001) -> GammaExpansion:
+def gamma_expansion(gb: GaussianBridge) -> GammaExpansion:
     """Long-horizon cost expansion against its exact limits.
 
     excess = C_T - 2 log(4 pi T) converges to 2 F(mu) + 2 F(nu); the
@@ -133,7 +132,7 @@ def gamma_expansion(gb: GaussianBridge, quad_steps: int = 2000001) -> GammaExpan
     """
     if gb.T < 1:
         raise ValueError("the expansion is meant for T >= 1")
-    cost = gaussian_cost(gb, quad_steps)
+    cost = gaussian_cost(gb)
     excess = cost - 2.0 * math.log(4.0 * math.pi * gb.T)
     limit = 2.0 * rel_entropy_gaussian(Gaussian1D(gb.x0, 1.0)) + 2.0 * rel_entropy_gaussian(
         Gaussian1D(gb.x1, 1.0)
@@ -143,7 +142,7 @@ def gamma_expansion(gb: GaussianBridge, quad_steps: int = 2000001) -> GammaExpan
     return GammaExpansion(excess, limit, first_order, first_order_target)
 
 
-def schrodinger_value(gb: GaussianBridge, quad_steps: int = 100000) -> float:
+def schrodinger_value(gb: GaussianBridge) -> float:
     """C_T / 4 + (F(mu) + F(nu)) / 2.
 
     With Lebesgue as the (infinite-mass) reference the value is a
@@ -152,7 +151,7 @@ def schrodinger_value(gb: GaussianBridge, quad_steps: int = 100000) -> float:
     f_sum = rel_entropy_gaussian(Gaussian1D(gb.x0, 1.0)) + rel_entropy_gaussian(
         Gaussian1D(gb.x1, 1.0)
     )
-    return gaussian_cost(gb, quad_steps) / 4.0 + 0.5 * f_sum
+    return gaussian_cost(gb) / 4.0 + 0.5 * f_sum
 
 
 def heat_flow_distance(gb: GaussianBridge, t: float) -> float:

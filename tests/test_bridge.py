@@ -76,14 +76,18 @@ def test_neglog_closed_form_endpoint_consistency():
 
 
 def test_closed_form_rejects_unsupported_cases():
-    with pytest.raises(UnsupportedEndpoints):
-        closed_form_bridge(NEGLOG, [1.0], [2.0], 1.0, 0.5)
-    with pytest.raises(UnsupportedEndpoints):
-        closed_form_bridge(NEGLOG, [1.0, 1.0], [1.0, 1.0], 1.0, 0.5)
-    with pytest.raises(UnsupportedKind):
-        closed_form_bridge("quadratic_matrix", [1.0], [1.0], 1.0, 0.5)
-    with pytest.raises(UnsupportedKind):
-        closed_form_cost("quadratic_matrix", [1.0], [1.0], 1.0)
+    evaluators = (
+        lambda kind, x, y: closed_form_bridge(kind, x, y, 1.0, 0.5),
+        lambda kind, x, y: closed_form_bridge_trajectory(kind, x, y, 1.0, 4),
+        lambda kind, x, y: closed_form_cost(kind, x, y, 1.0),
+        lambda kind, x, y: closed_form_energy(kind, x, y, 1.0),
+    )
+    for evaluate in evaluators:
+        for x, y in (([1.0], [2.0]), ([1.0, 1.0], [1.0, 1.0]), ([-1.0], [-1.0])):
+            with pytest.raises(UnsupportedEndpoints):
+                evaluate(NEGLOG, x, y)
+        with pytest.raises(UnsupportedKind):
+            evaluate("quadratic_matrix", [1.0], [1.0])
 
 
 # -- shooting ----------------------------------------------------------------

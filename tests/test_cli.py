@@ -1,4 +1,5 @@
 import json
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
@@ -59,14 +60,12 @@ def test_run_rejects_bad_mode_and_missing_file(tmp_path):
         {"T_values": [1.0, None]},
         {"theta_values": ["half"]},
         {"t_fractions": [0.5, [0.7]]},
-        {"quad_steps": "many"},
-        {"quad_steps": 5},
         {"endpoints": [2.0, 1.0]},
         {"outputs": "out"},
         {"solver": {"method": "shooting", "grid_points": 2}},
     ],
-    ids=["T_text", "T_null", "theta_text", "t_fraction_list", "quad_steps_text",
-         "quad_steps_small", "endpoints_list", "outputs_text", "grid_points_small"],
+    ids=["T_text", "T_null", "theta_text", "t_fraction_list", "endpoints_list",
+         "outputs_text", "grid_points_small"],
 )
 def test_malformed_config_is_a_config_error(tmp_path, capsys, patch):
     cfg = write_config(tmp_path, {**BASE, **patch})
@@ -123,7 +122,7 @@ def test_gaussian_mode_table(tmp_path):
             "mode": "gaussian",
             "endpoints": {"x": [0.0], "y": [3.0]},
             "T_values": [1.0, 10.0],
-            "quad_steps": 20001,
+            "quad_steps": 20001,  # a legacy key, ignored
             "outputs": {"csv_dir": "out", "json_path": "out/summary.json"},
         },
     )
@@ -132,6 +131,25 @@ def test_gaussian_mode_table(tmp_path):
     lines = (out / "gauss_gaussian.csv").read_text(encoding="utf-8").splitlines()
     assert lines[0] == "T,cost,excess,energy,w2_heat_flow"
     assert len(lines) == 3
+
+
+def _exact_gaussian_cost(x0: float, x1: float, T: float) -> float:
+    """The closed-form Gaussian-family cost, evaluated in 40-digit decimals."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        T, dx = Decimal(T), Decimal(x1) - Decimal(x0)
+        K = ((T - 1) ** 2 + 2 * T).sqrt() - (T - 1) + T
+        a = (K / 2 + T * T / 4).sqrt()
+        atanh = ((2 * a + T) / (2 * a - T)).ln() / 2
+        return float((T * T / (K * K) + 2 / K + 1) * (K / a) * atanh + dx * dx / T - 2 * T / K)
+
+
+def test_builtin_gaussian_family_cost_is_exact(tmp_path):
+    out = tmp_path / "results"
+    assert main(["run", "gaussian_family", "--out-dir", str(out)]) == 0
+    lines = (out / "gaussian_family_gaussian.csv").read_text(encoding="utf-8").splitlines()
+    rows = {float(line.split(",")[0]): line.split(",") for line in lines[1:]}
+    assert float(rows[1e4][1]) == pytest.approx(_exact_gaussian_cost(0.0, 3.0, 1e4), rel=1e-12)
 
 
 def test_sweep_mode_emits_fits(tmp_path):

@@ -14,7 +14,6 @@ import numpy as np
 
 from ._integrate import integrate_grid
 from .errors import (
-    BridgeLabError,
     DomainEscape,
     MaxIterations,
     NoConvergence,
@@ -44,7 +43,6 @@ class SolverOptions:
     max_iter: int = 100
     tol_boundary: float = 1e-9
     grid_points: int | None = None
-    restarts: int = 5
 
     def nodes(self, T: float) -> int:
         if self.grid_points is not None:
@@ -121,33 +119,15 @@ def _integrate_phase(P: Potential, x: np.ndarray, v0: np.ndarray, T: float,
     return integrate_grid(rhs, np.concatenate([x, v0]), T, steps, feasible)
 
 
-def _action_initial_slope(P, x, y, T, opts) -> np.ndarray:
-    nodes = min(opts.nodes(T), 201)
-    sol = solve_bridge_action(P, x, y, T, grid_points=max(nodes, 51), opts=opts)
-    return sol.trajectory.velocities[0]
-
-
-def _start_candidates(P, x, y, T, opts):
-    """Deterministic initial-velocity guesses, best bets first."""
-    straight = (y - x) / T
-    yield straight
-    try:
-        gx = P.grad(x)
-    except BridgeLabError:
-        gx = np.zeros_like(x)
-    yield straight - gx
-    yield lambda: _action_initial_slope(P, x, y, T, opts)
-    yield -gx
-    yield 0.5 * straight - 0.5 * gx
-
-
 def solve_bridge_shooting(P: Potential, x, y, T: float, opts: SolverOptions | None = None) -> BridgeSolution:
     """Shooting solve: damped Newton on the initial velocity.
 
-    The Jacobian of the landing map uses forward differences with step
-    1e-6*(1+|v0|). Newton steps are halved (up to 30 times) until the landing
-    error decreases; stagnating runs restart from the next candidate start,
-    including the initial slope of a direct action minimization.
+    Newton starts from the straight line (y - x)/T and, if that fails, from
+    (y - x)/T - F'(x), which leaves x along the gradient flow that long
+    bridges follow. The Jacobian of the landing map uses forward differences
+    with step 1e-6*(1+|v0|). Newton steps are halved (up to 30 times) until
+    the landing error decreases; a start is abandoned after two stalled steps.
+    ``context["restarts"]`` is the index of the start that converged.
     """
     opts = opts or SolverOptions()
     x = P.check_domain(x)
@@ -165,31 +145,20 @@ def solve_bridge_shooting(P: Potential, x, y, T: float, opts: SolverOptions | No
         err = float(np.max(np.abs(phase[-1, :d] - y)))
         return err, phase
 
+    straight = (y - x) / T
     total_iters = 0
-    last_escape = None
-    for attempt, start in enumerate(_start_candidates(P, x, y, T, opts)):
-        if attempt >= opts.restarts:
-            break
-        if callable(start):
-            try:
-                start = start()
-            except BridgeLabError:
-                continue
-        v0 = np.asarray(start, dtype=float).copy()
+    landed = False
+    for attempt in range(2):
+        v0 = straight - P.grad(x) if attempt else straight
         err, phase = landing_error(v0)
         if not np.isfinite(err):
-            last_escape = DomainEscape("every trial trajectory left the domain")
             continue
+        landed = True
         stall = 0
         for _ in range(opts.max_iter):
             total_iters += 1
             if err < opts.tol_boundary:
-                traj = Trajectory(
-                    np.linspace(0.0, T, steps + 1), phase[:, :d], phase[:, d:]
-                )
-                return _finish_solution(
-                    traj, P, "shooting", err, total_iters, restarts=attempt
-                )
+                break
             # forward-difference Jacobian of the landing map
             fd = 1e-6 * (1.0 + float(np.linalg.norm(v0)))
             J = np.empty((d, d))
@@ -223,11 +192,11 @@ def solve_bridge_shooting(P: Potential, x, y, T: float, opts: SolverOptions | No
                     break
             else:
                 stall = 0
-        if err < opts.tol_boundary:  # budget ended exactly at convergence
+        if err < opts.tol_boundary:
             traj = Trajectory(np.linspace(0.0, T, steps + 1), phase[:, :d], phase[:, d:])
             return _finish_solution(traj, P, "shooting", err, total_iters, restarts=attempt)
-    if last_escape is not None and total_iters == 0:
-        raise last_escape
+    if not landed:
+        raise DomainEscape("every trial trajectory left the domain")
     raise NoConvergence(
         f"shooting did not reach the boundary tolerance after {total_iters} iterations"
     )
@@ -450,18 +419,19 @@ def _closed_form(kind: str, x, y, T: float):
     if x[0] <= 0:
         raise UnsupportedEndpoints("endpoints must be positive")
     x0 = float(x[0])
-    E = 2.0 * (x0 * x0 - math.sqrt(x0**4 + T * T)) / (T * T)
+    # E = 2(x0^2 - sqrt(x0^4 + T^2))/T^2 and s = sqrt(1 + E x0^2), free of cancellation
+    D = x0 * x0 + math.sqrt(x0**4 + T * T)
+    E = -2.0 / D
+    s = T / D
 
     def path(t):
         m = math if np.ndim(t) == 0 else np
-        s = math.sqrt(1.0 + E * x0 * x0)
         r = m.sqrt(x0 * x0 + t * t * E + 2.0 * t * s)
         return np.expand_dims(r, -1), np.expand_dims(np.divide(t * E + s, r), -1)
 
     def cost():
         v0 = math.sqrt(-E) * x0
-        root = math.sqrt(1.0 - v0 * v0)
-        return -4.0 * (root - math.log((1.0 + root) / v0)) - T * E
+        return -4.0 * (s - math.log((1.0 + s) / v0)) - T * E
 
     return path, E, cost
 

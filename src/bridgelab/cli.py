@@ -2,15 +2,14 @@
 
 Exit codes: 0 success, 1 configuration error, 2 solver failure (with
 --keep-going the run continues past failing cases and still exits 2).
-Output rows are sorted on (T, t) so reruns and threaded runs are
-byte-identical; floats are written with 17 significant digits.
+Output rows are sorted on (T, t) so repeated runs are byte-identical;
+floats are written with 17 significant digits.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -80,28 +79,14 @@ def _solution_diagnostics(T, sol):
     }
 
 
-def _map_cases(fn, T_values, threads: int, keep_going: bool):
-    """Run fn(T) per case, serially or on a thread pool; aggregate failures."""
+def _map_cases(fn, T_values, keep_going: bool):
+    """Run fn(T) per case in order; stop at the first failure unless keep_going."""
     results, failures = {}, {}
-
-    def run_one(T):
+    for T in T_values:
         try:
-            return T, fn(T), None
+            results[T] = fn(T)
         except BridgeLabError as exc:
-            return T, None, exc
-
-    if threads == 1 or len(T_values) == 1:
-        ordered = map(run_one, T_values)
-    else:
-        workers = threads if threads > 0 else None
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            ordered = list(pool.map(run_one, T_values))
-
-    for T, value, err in ordered:
-        if err is None:
-            results[T] = value
-        else:
-            failures[T] = err
+            failures[T] = exc
             if not keep_going:
                 break
     return results, failures
@@ -109,6 +94,10 @@ def _map_cases(fn, T_values, threads: int, keep_going: bool):
 
 def run(config: ExperimentConfig, *, keep_going: bool = False, threads: int = 1,
         out_dir: str | None = None) -> int:
+    """Run the cases of ``config`` in order and write its CSVs and summary.
+
+    ``threads`` is ignored; it stays because perfbench/workloads.py passes it.
+    """
     csv_dir = Path(out_dir) if out_dir else config.csv_dir
     json_path = (
         Path(out_dir) / config.json_path.name if out_dir else config.json_path
@@ -126,7 +115,7 @@ def run(config: ExperimentConfig, *, keep_going: bool = False, threads: int = 1,
         return solve_bridge(P, config.x, config.y, T, config.solver)
 
     if config.mode == "bridge":
-        results, failures = _map_cases(solve_case, config.T_values, threads, keep_going)
+        results, failures = _map_cases(solve_case, config.T_values, keep_going)
         for T in sorted(results):
             sol = results[T]
             _write_csv(
@@ -140,7 +129,7 @@ def run(config: ExperimentConfig, *, keep_going: bool = False, threads: int = 1,
         def flow_case(T):
             return gradient_flow(P, config.x, T, steps=(config.solver.nodes(T) - 1))
 
-        results, failures = _map_cases(flow_case, config.T_values, threads, keep_going)
+        results, failures = _map_cases(flow_case, config.T_values, keep_going)
         for T in sorted(results):
             traj = results[T]
             _write_csv(
@@ -166,7 +155,7 @@ def run(config: ExperimentConfig, *, keep_going: bool = False, threads: int = 1,
                 "w2_heat_flow": heat_flow_distance(gb, t_probe),
             }
 
-        results, failures = _map_cases(gaussian_case, config.T_values, threads, keep_going)
+        results, failures = _map_cases(gaussian_case, config.T_values, keep_going)
         rows = [
             [T, r["cost"], r["excess"], r["energy"], r["w2_heat_flow"]]
             for T, r in sorted(results.items())
@@ -194,7 +183,7 @@ def run(config: ExperimentConfig, *, keep_going: bool = False, threads: int = 1,
             )
             return sol, reports
 
-        results, failures = _map_cases(verify_case, config.T_values, threads, keep_going)
+        results, failures = _map_cases(verify_case, config.T_values, keep_going)
         rows = []
         records = []
         n_pass = n_fail = 0
@@ -262,7 +251,7 @@ def run(config: ExperimentConfig, *, keep_going: bool = False, threads: int = 1,
                 row["dist_flow_t1"] = float(np.linalg.norm(state - flow.states[-1]))
             return row
 
-        results, failures = _map_cases(sweep_case, config.T_values, threads, keep_going)
+        results, failures = _map_cases(sweep_case, config.T_values, keep_going)
         rows = []
         for T in sorted(results):
             r = results[T]
@@ -323,8 +312,6 @@ def main(argv=None) -> int:
     run_p.add_argument("config", help="path to a config JSON file, or a builtin config name")
     run_p.add_argument("--keep-going", action="store_true",
                        help="continue past failing cases (still exits 2 at the end)")
-    run_p.add_argument("--threads", type=int, default=1, metavar="N",
-                       help="worker threads for independent cases (0 = auto)")
     run_p.add_argument("--out-dir", default=None, metavar="PATH",
                        help="override the output directory from the config")
 
@@ -344,8 +331,7 @@ def main(argv=None) -> int:
         return 1
 
     try:
-        return run(config, keep_going=args.keep_going, threads=args.threads,
-                   out_dir=args.out_dir)
+        return run(config, keep_going=args.keep_going, out_dir=args.out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

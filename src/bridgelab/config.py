@@ -106,6 +106,10 @@ def parse_config(data: dict, *, name_hint: str = "config") -> ExperimentConfig:
         raise ConfigError(f"bad solver options: {exc}") from exc
     if solver.grid_points is not None and solver.grid_points < 3:
         raise ConfigError("solver.grid_points must be >= 3")
+    if solver.max_iter < 1:
+        raise ConfigError("solver.max_iter must be >= 1")
+    if not (np.isfinite(solver.tol_boundary) and solver.tol_boundary > 0):
+        raise ConfigError("solver.tol_boundary must be finite and positive")
 
     outputs = data.get("outputs", {})
     if not isinstance(outputs, dict):

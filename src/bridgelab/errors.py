@@ -26,7 +26,7 @@ class UnsupportedEndpoints(BridgeLabError):
 
 
 class NoConvergence(BridgeLabError):
-    """An iterative solver exhausted its iteration and restart budget."""
+    """An iterative solver exhausted its iteration budget."""
 
 
 class MaxIterations(BridgeLabError):

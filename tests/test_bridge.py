@@ -1,9 +1,12 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
+import bridgelab.bridge as bridge_module
 from bridgelab import (
+    DomainEscape,
     NoConvergence,
     Potential,
     SolverOptions,
@@ -19,6 +22,7 @@ from bridgelab import (
     solve_bridge_shooting,
 )
 from bridgelab.flow import Trajectory
+from bridgelab.potential import POSITIVE_ORTHANT
 
 QUAD = "quadratic_isotropic"
 NEGLOG = "neg_log"
@@ -73,6 +77,22 @@ def test_neglog_closed_form_endpoint_consistency():
     E = closed_form_energy(NEGLOG, [1.0], [1.0], 5.0)
     cons = traj.velocities[:, 0] ** 2 - 1.0 / traj.states[:, 0] ** 2
     np.testing.assert_allclose(cons, E, atol=1e-12)
+
+
+def test_neglog_closed_form_far_from_origin_is_finite():
+    # x0^2 >> T: written as 2(x0^2 - sqrt(x0^4 + T^2))/T^2, E cancels to E x0^2 < -1
+    x0, T = 1e4, 10.0
+    assert np.all(np.isfinite(closed_form_bridge(NEGLOG, [x0], [x0], T, T / 3.0)))
+    traj = closed_form_bridge_trajectory(NEGLOG, [x0], [x0], T, 10)
+    assert np.all(np.isfinite(traj.states)) and np.all(np.isfinite(traj.velocities))
+    with localcontext() as ctx:
+        ctx.prec = 50
+        X, TT = Decimal(x0), Decimal(T)
+        D = X * X + (X**4 + TT * TT).sqrt()
+        E, s = -2 / D, TT / D
+        v0 = (-E).sqrt() * X
+        exact = float(-4 * (s - ((1 + s) / v0).ln()) - TT * E)
+    assert closed_form_cost(NEGLOG, [x0], [x0], T) == pytest.approx(exact, rel=1e-9)
 
 
 def test_closed_form_rejects_unsupported_cases():
@@ -177,19 +197,30 @@ def test_shooting_no_convergence_budget():
     P = Potential.neg_log(1)
     with pytest.raises(NoConvergence):
         solve_bridge_shooting(
-            P, [1.0], [3.0], 5.0, SolverOptions(max_iter=1, restarts=2, tol_boundary=1e-12)
+            P, [1.0], [3.0], 5.0, SolverOptions(max_iter=1, tol_boundary=1e-12)
         )
+
+
+def test_shooting_never_calls_the_action_route(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("shooting called the action route")
+
+    monkeypatch.setattr(bridge_module, "solve_bridge_action", refuse)
+    with pytest.raises(NoConvergence):
+        solve_bridge_shooting(Potential.neg_log(1), [1.0], [3.0], 5.0, SolverOptions(max_iter=1))
 
 
 def test_shooting_escape_when_every_start_leaves_domain():
-    from bridgelab import DomainEscape
-
-    P = Potential.neg_log(1)
-    # the lone candidate (y - x)/T turns around and crosses zero
+    # F'(1) = 0, so both starts are the straight line, which crosses zero
+    P = Potential.custom(
+        1,
+        lambda x: float(-np.log(x[0]) + 0.5 * x[0] ** 2),
+        lambda x: np.array([x[0] - 1.0 / x[0]]),
+        lambda x, v: (1.0 + 1.0 / x[0] ** 2) * v,
+        domain=POSITIVE_ORTHANT,
+    )
     with pytest.raises(DomainEscape):
-        solve_bridge_shooting(
-            P, [1.0], [3.0], 5.0, SolverOptions(max_iter=1, restarts=1, tol_boundary=1e-12)
-        )
+        solve_bridge_shooting(P, [1.0], [0.05], 0.1, SolverOptions(max_iter=1))
 
 
 # -- action minimization --------------------------------------------------------
@@ -217,7 +248,7 @@ def test_action_cross_solver_agreement_neglog_long_horizon():
 
 def test_auto_falls_back_to_action():
     P = Potential.neg_log(1)
-    opts = SolverOptions(method="auto", max_iter=1, restarts=1, grid_points=401)
+    opts = SolverOptions(method="auto", max_iter=1, grid_points=401)
     sol = solve_bridge(P, [1.0], [2.0], 2.0, opts)
     assert sol.solver == "action"
     # conservation at discretization accuracy (endpoint differences are O(h^2))

@@ -63,9 +63,15 @@ def test_run_rejects_bad_mode_and_missing_file(tmp_path):
         {"endpoints": [2.0, 1.0]},
         {"outputs": "out"},
         {"solver": {"method": "shooting", "grid_points": 2}},
+        {"solver": {"method": "shooting", "max_iter": 0}},
+        {"solver": {"method": "shooting", "tol_boundary": 0.0}},
+        {"solver": {"method": "shooting", "tol_boundary": -1e-9}},
+        {"solver": {"method": "shooting", "tol_boundary": float("nan")}},
+        {"solver": {"method": "shooting", "tol_boundary": float("inf")}},
     ],
     ids=["T_text", "T_null", "theta_text", "t_fraction_list", "endpoints_list",
-         "outputs_text", "grid_points_small"],
+         "outputs_text", "grid_points_small", "max_iter_zero", "tol_zero",
+         "tol_negative", "tol_nan", "tol_inf"],
 )
 def test_malformed_config_is_a_config_error(tmp_path, capsys, patch):
     cfg = write_config(tmp_path, {**BASE, **patch})
@@ -207,15 +213,6 @@ def test_flow_mode(tmp_path):
     assert main(["run", str(cfg), "--out-dir", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
     assert summary["cases"][0]["final_state"][0] == pytest.approx(3.0, abs=1e-6)
-
-
-def test_threads_option_gives_identical_output(tmp_path):
-    cfg = write_config(tmp_path, {**BASE, "T_values": [1.0, 2.0, 3.0]})
-    out1, out2 = tmp_path / "serial", tmp_path / "threaded"
-    assert main(["run", str(cfg), "--out-dir", str(out1)]) == 0
-    assert main(["run", str(cfg), "--threads", "2", "--out-dir", str(out2)]) == 0
-    for name in ("case_bridge_T1.csv", "case_bridge_T2.csv", "case_bridge_T3.csv"):
-        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
 def test_builtin_configs_resolve_and_validate():

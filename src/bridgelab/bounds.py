@@ -101,17 +101,25 @@ def verify_bounds(
         except BridgeLabError as exc:
             raise MissingPrerequisite(f"could not compute the unit-horizon cost: {exc}") from exc
 
+    both = both_orientations and not np.array_equal(x, y)
+    sources = [x, y] if both else [x]
+    # the gradient flows of the orientations, one from each source, as one batch
+    flows = [None, None]
+    if np.isfinite(P.n_dim) or (P.rho is not None and P.rho > 0):
+        flows[:len(sources)] = gradient_flow(P, np.array(sources), T,
+                                             steps=solution.trajectory.n_nodes - 1)
     reports = _verify_one_orientation(
-        P, x, y, T, solution, c1, t_values, theta_values, opts, "forward"
+        P, x, y, T, solution, flows[0], c1, t_values, theta_values, "forward"
     )
-    if both_orientations and not np.array_equal(x, y):
+    if both:
         reports += _verify_one_orientation(
-            P, y, x, T, reverse_solution(solution), c1, t_values, theta_values, opts, "reversed"
+            P, y, x, T, reverse_solution(solution), flows[1], c1, t_values, theta_values,
+            "reversed"
         )
     return reports
 
 
-def _verify_one_orientation(P, x, y, T, sol, c1, t_values, theta_values, opts, orientation):
+def _verify_one_orientation(P, x, y, T, sol, flow, c1, t_values, theta_values, orientation):
     reports: list[BoundReport] = []
     traj = sol.trajectory
     n = P.n_dim
@@ -134,10 +142,6 @@ def _verify_one_orientation(P, x, y, T, sol, c1, t_values, theta_values, opts, o
         "boundary_error": sol.boundary_error,
         "energy_maxdev": sol.energy_maxdev,
     }
-
-    flow = None
-    if n_finite or rho_pos:
-        flow = gradient_flow(P, x, T, steps=traj.n_nodes - 1)
 
     def phi_sq(idx: int) -> float:
         phi = defect_field(traj, P, traj.times[idx])

@@ -1,9 +1,9 @@
 """Two-point boundary-value solvers for the Newton system x'' = F''(x) F'(x).
 
-Two independent routes produce the same interpolation: shooting (damped
-Newton on the initial velocity of a phase-space RK4 integration) and direct
-minimization of the discretized action. Closed forms for the two solvable
-builtin potentials serve as oracles.
+Two independent routes produce the same interpolation: multiple shooting
+(damped Newton on the initial states of the segments of a phase-space RK4
+integration) and direct minimization of the discretized action. Closed
+forms for the two solvable builtin potentials serve as oracles.
 """
 from __future__ import annotations
 
@@ -21,8 +21,8 @@ from .errors import (
     UnsupportedEndpoints,
     UnsupportedKind,
 )
-from .flow import Trajectory, default_steps
-from .functionals import action_cost, conserved_energy
+from .flow import Trajectory, default_steps, gradient_flow
+from .functionals import energy_stats, trapezoid_cost
 from .potential import ALL_SPACE, NEG_LOG, QUADRATIC_ISOTROPIC, Potential
 
 #: Beyond this horizon ``auto`` sends potentials with a positive convexity
@@ -82,10 +82,11 @@ def newton_residual(traj: Trajectory, P: Potential) -> float:
 
 
 def _finish_solution(traj, P, solver, boundary_error, iterations, **context) -> BridgeSolution:
-    energy = conserved_energy(traj, P)
+    grads = P.grad_many(traj.states)
+    energy = energy_stats(traj, grads)
     return BridgeSolution(
         trajectory=traj,
-        cost=action_cost(traj, P),
+        cost=trapezoid_cost(traj, grads),
         energy_mean=energy.mean,
         energy_maxdev=energy.maxdev,
         newton_residual=newton_residual(traj, P) if traj.n_nodes >= 5 else float("nan"),
@@ -99,9 +100,9 @@ def _finish_solution(traj, P, solver, boundary_error, iterations, **context) -> 
 # -- shooting -----------------------------------------------------------------
 
 
-def _integrate_phase(P: Potential, x: np.ndarray, v0: np.ndarray, T: float,
-                     steps: int) -> np.ndarray:
-    """Integrate the phase-space Newton system; returns (steps+1, 2d) states."""
+def _integrate_phase(P: Potential, z0: np.ndarray, T: float, steps: int) -> np.ndarray:
+    """Integrate the phase-space Newton system from one state (2d,) or rows
+    (m, 2d) of states; returns (steps + 1,) + z0.shape."""
     d = P.dim
     # integrate_grid runs `feasible` on every stage state before rhs sees it,
     # so the force is evaluated without checking the state again
@@ -111,23 +112,59 @@ def _integrate_phase(P: Potential, x: np.ndarray, v0: np.ndarray, T: float,
         feasible = None
     else:
         def feasible(z):
-            return P.in_domain(z[:d])
+            return P.in_domain(z[..., :d])
 
     def rhs(z):
-        return np.concatenate([z[d:], force(z[:d])])
+        return np.concatenate([z[..., d:], force(z[..., :d])], axis=-1)
 
-    return integrate_grid(rhs, np.concatenate([x, v0]), T, steps, feasible)
+    return integrate_grid(rhs, z0, T, steps, feasible)
+
+
+#: Multiple shooting cuts [0, T] into segments of at most
+#: SEGMENT_SPAN / max(rho, 1) time units, so the landing map of a segment is
+#: at most about exp(SEGMENT_SPAN) sensitive to its initial state.
+SEGMENT_SPAN = 5.0
+
+
+def _segment_starts(P: Potential, T: float, steps: int) -> tuple[np.ndarray, int]:
+    """First grid node of each shooting segment, and the segment length k.
+
+    Every segment is k = ceil(steps / M) steps long, so all advance as one
+    batch; the last one starts at node steps - k, so none runs past T.
+    """
+    rate = max(P.rho or 0.0, 1.0)
+    wanted = min(math.ceil(T * rate / SEGMENT_SPAN), steps // 2)
+    k = math.ceil(steps / max(wanted, 1))
+    M = math.ceil(steps / k)
+    return np.array([j * k for j in range(M - 1)] + [steps - k]), k
 
 
 def solve_bridge_shooting(P: Potential, x, y, T: float, opts: SolverOptions | None = None) -> BridgeSolution:
-    """Shooting solve: damped Newton on the initial velocity.
+    """Multiple shooting: damped Newton on the initial states of M segments.
 
-    Newton starts from the straight line (y - x)/T and, if that fails, from
-    (y - x)/T - F'(x), which leaves x along the gradient flow that long
-    bridges follow. The Jacobian of the landing map uses forward differences
-    with step 1e-6*(1+|v0|). Newton steps are halved (up to 30 times) until
-    the landing error decreases; a start is abandoned after two stalled steps.
-    ``context["restarts"]`` is the index of the start that converged.
+    [0, T] is cut into M segments of k grid steps each, with M the smallest
+    count that keeps a segment within SEGMENT_SPAN / max(rho, 1) time units
+    (at most half the step count); the last segment starts k steps before
+    T and the states of its neighbour beyond that junction are discarded.
+    The unknowns are the initial velocity and the initial states of
+    segments 2..M; the residuals are the junction defects and the landing
+    error at y, and the returned ``boundary_error`` is their sup norm. All
+    segments advance as one RK4 batch.
+
+    With M = 1 this is single shooting: Newton starts from the straight line
+    (y - x)/T and, if that fails, from (y - x)/T - F'(x), which leaves x
+    along the gradient flow that long bridges follow. With M > 1 it starts
+    from the paper's long-time picture (the turnpike seed): segment states
+    on [0, T/2] follow the gradient flow from x with velocity -F', those on
+    (T/2, T] the reversed flow from y with velocity +F'; both flows run as
+    one batch on the solve's grid.
+
+    The Jacobian uses forward differences, with step 1e-6*(1+|s|) for a
+    segment's unknowns s, all integrated as one batch, and only at an
+    iterate that misses the tolerance. Newton steps are halved (up to 30
+    times) until the sup-norm error decreases; a start is abandoned after
+    two stalled steps. ``context["restarts"]`` is the index of the start
+    that converged and ``context["segments"]`` is M.
     """
     opts = opts or SolverOptions()
     x = P.check_domain(x)
@@ -136,21 +173,67 @@ def solve_bridge_shooting(P: Potential, x, y, T: float, opts: SolverOptions | No
         raise ValueError("T must be positive")
     d = P.dim
     steps = opts.nodes(T) - 1
+    starts, k = _segment_starts(P, T, steps)
+    M = len(starts)
+    span = k * (T / steps)
+    # local step at which each segment meets the next one, or lands at T
+    meet = np.append(np.diff(starts), k)
+    # unknown p is component comp[p] of the initial state of segment seg[p]
+    seg = np.repeat(np.arange(M), 2 * d)[d:]
+    comp = np.tile(np.arange(2 * d), M)[d:]
+    n = seg.size
 
-    def landing_error(v0):
+    def initial_states(u):
+        return np.concatenate([x, u]).reshape(M, 2 * d)
+
+    def targets(Z):
+        """What the segments must reach: each the next one's start, the last y."""
+        return np.concatenate([Z[1:].ravel(), y])
+
+    def landing_error(u):
+        """Sup-norm error, (k + 1, M, 2d) segment paths and residuals of u."""
+        Z = initial_states(u)
         try:
-            phase = _integrate_phase(P, x, v0, T, steps)
+            if M == 1:
+                paths = _integrate_phase(P, Z[0], span, k)[:, None, :]
+            else:
+                paths = _integrate_phase(P, Z, span, k)
         except (DomainEscape, NonFinite):
-            return np.inf, None
-        err = float(np.max(np.abs(phase[-1, :d] - y)))
-        return err, phase
+            return np.inf, None, None
+        r = paths[meet, np.arange(M)].ravel()[:n] - targets(Z)
+        return float(np.max(np.abs(r))), paths, r
+
+    def jacobian(u, r):
+        """Forward-difference Jacobian of the residuals, or None on an escape."""
+        Z = initial_states(u)
+        scale = np.linalg.norm(Z, axis=1)
+        scale[0] = np.linalg.norm(Z[0, d:])
+        fd = 1e-6 * (1.0 + scale[seg])
+        rows = Z[seg]
+        rows[np.arange(n), comp] += fd
+        try:
+            paths = _integrate_phase(P, rows, span, k)
+        except (DomainEscape, NonFinite):
+            return None
+        end = paths[meet[seg], np.arange(n)]
+        base = r + targets(Z)
+        J = np.zeros((n, n))
+        # the start of a segment is what the segment before it must reach
+        J[np.arange(n - d), np.arange(d, n)] = -1.0
+        for p, j in enumerate(seg):
+            lo, hi = 2 * d * j, min(2 * d * (j + 1), n)
+            J[lo:hi, p] = (end[p, :hi - lo] - base[lo:hi]) / fd[p]
+        return J
 
     straight = (y - x) / T
     total_iters = 0
     landed = False
-    for attempt in range(2):
-        v0 = straight - P.grad(x) if attempt else straight
-        err, phase = landing_error(v0)
+    for attempt in range(2 if M == 1 else 1):
+        if M > 1:
+            u = _turnpike_seed(P, x, y, T, steps, starts)
+        else:
+            u = straight - P.grad(x) if attempt else straight
+        err, paths, r = landing_error(u)
         if not np.isfinite(err):
             continue
         landed = True
@@ -159,19 +242,8 @@ def solve_bridge_shooting(P: Potential, x, y, T: float, opts: SolverOptions | No
             total_iters += 1
             if err < opts.tol_boundary:
                 break
-            # forward-difference Jacobian of the landing map
-            fd = 1e-6 * (1.0 + float(np.linalg.norm(v0)))
-            J = np.empty((d, d))
-            r = phase[-1, :d] - y
-            for j in range(d):
-                vj = v0.copy()
-                vj[j] += fd
-                errj, phasej = landing_error(vj)
-                if phasej is None:
-                    J[:, j] = np.nan
-                    break
-                J[:, j] = (phasej[-1, :d] - (r + y)) / fd
-            if not np.all(np.isfinite(J)):
+            J = jacobian(u, r)
+            if J is None or not np.all(np.isfinite(J)):
                 break
             try:
                 step = np.linalg.solve(J, -r)
@@ -179,10 +251,10 @@ def solve_bridge_shooting(P: Potential, x, y, T: float, opts: SolverOptions | No
                 step, *_ = np.linalg.lstsq(J, -r, rcond=None)
             lam, improved = 1.0, False
             for _ in range(30):
-                err_new, phase_new = landing_error(v0 + lam * step)
+                err_new, paths_new, r_new = landing_error(u + lam * step)
                 if err_new < err:
-                    v0 = v0 + lam * step
-                    err, phase = err_new, phase_new
+                    u = u + lam * step
+                    err, paths, r = err_new, paths_new, r_new
                     improved = True
                     break
                 lam *= 0.5
@@ -193,13 +265,33 @@ def solve_bridge_shooting(P: Potential, x, y, T: float, opts: SolverOptions | No
             else:
                 stall = 0
         if err < opts.tol_boundary:
-            traj = Trajectory(np.linspace(0.0, T, steps + 1), phase[:, :d], phase[:, d:])
-            return _finish_solution(traj, P, "shooting", err, total_iters, restarts=attempt)
+            path = np.empty((steps + 1, 2 * d))
+            # a later segment overwrites its neighbour from their junction on
+            for j, s in enumerate(starts):
+                path[s:s + k + 1] = paths[:, j]
+            traj = Trajectory(np.linspace(0.0, T, steps + 1), path[:, :d], path[:, d:])
+            return _finish_solution(traj, P, "shooting", err, total_iters,
+                                    restarts=attempt, segments=M)
     if not landed:
         raise DomainEscape("every trial trajectory left the domain")
     raise NoConvergence(
         f"shooting did not reach the boundary tolerance after {total_iters} iterations"
     )
+
+
+def _turnpike_seed(P: Potential, x, y, T: float, steps: int, starts) -> np.ndarray:
+    """Multiple-shooting unknowns from the gradient flows out of x and into y.
+
+    A segment starting at node s <= steps/2 takes the state of the flow from
+    x there with velocity -F'; a later one the state of the flow from y at
+    node steps - s with velocity +F' (that flow reversed in time).
+    """
+    half = steps // 2
+    from_x, from_y = gradient_flow(P, np.array([x, y]), half * (T / steps), half)
+    Z = [np.concatenate([from_x.states[s], from_x.velocities[s]]) if 2 * s <= steps
+         else np.concatenate([from_y.states[steps - s], -from_y.velocities[steps - s]])
+         for s in starts]
+    return np.concatenate(Z)[P.dim:]
 
 
 # -- direct action minimization -------------------------------------------------
@@ -352,10 +444,9 @@ def _lbfgs(fun_grad, z0, memory=12):
 def solve_bridge(P: Potential, x, y, T: float, opts: SolverOptions | None = None) -> BridgeSolution:
     """Dispatch on opts.method; ``auto`` falls back to action minimization.
 
-    For strongly convex potentials the landing map of single shooting is
-    exp(rho T)-sensitive, so beyond AUTO_ACTION_HORIZON the boundary
-    tolerance is unreachable in double precision; auto then goes straight
-    to the action route.
+    Beyond AUTO_ACTION_HORIZON auto sends potentials with rho > 0 straight
+    to the action route. The rule dates from single shooting, whose landing
+    map is exp(rho T)-sensitive; multiple shooting reaches those horizons.
     """
     opts = opts or SolverOptions()
     if opts.method == "shooting":

@@ -19,7 +19,7 @@ from .bridge import solve_bridge
 from .config import ExperimentConfig, builtin_config_names, resolve_config
 from .errors import BridgeLabError, ConfigError, DegenerateSeries, OffGrid
 from .flow import gradient_flow
-from .functionals import conserved_energy
+from .functionals import energy_stats
 from .gaussian import GaussianBridge, gamma_expansion, gaussian_cost, gaussian_energy, heat_flow_distance
 from .potential import Potential
 
@@ -43,8 +43,9 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 
 def _trajectory_rows(traj, P: Potential):
-    energy = conserved_energy(traj, P).samples[:, 1]
-    phi_norm = np.linalg.norm(P.grad_many(traj.states) + traj.velocities, axis=1)
+    grads = P.grad_many(traj.states)
+    energy = energy_stats(traj, grads).samples[:, 1]
+    phi_norm = np.linalg.norm(grads + traj.velocities, axis=1)
     rows = []
     for i, t in enumerate(traj.times):
         rows.append(
@@ -76,6 +77,7 @@ def _solution_diagnostics(T, sol):
         "newton_residual": sol.newton_residual,
         "boundary_error": sol.boundary_error,
         "iterations": sol.iterations,
+        "segments": sol.context.get("segments"),
     }
 
 

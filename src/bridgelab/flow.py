@@ -75,15 +75,19 @@ def default_steps(T: float) -> int:
     return int(math.ceil(max(100.0, 100.0 * T)))
 
 
-def gradient_flow(P: Potential, x0, T: float, steps: int | None = None) -> Trajectory:
+def gradient_flow(P: Potential, x0, T: float, steps: int | None = None):
     """Integrate dS/dt = -F'(S) from x0 over [0, T] with classical RK4.
 
-    The grid is uniform with `steps` intervals (default heuristic
-    ``ceil(max(100, 100 T))``). Node velocities are -F'(state). For
-    positive-orthant potentials a step that leaves the orthant is retried
+    ``x0`` is one point (d,), which gives one Trajectory, or rows (m, d) of
+    starting points, which are integrated as one batch and give a list of m
+    Trajectories. The grid is uniform with `steps` intervals (default
+    heuristic ``ceil(max(100, 100 T))``). Node velocities are -F'(state).
+    For positive-orthant potentials a step that leaves the orthant is retried
     with halved substeps before DomainEscape is raised.
     """
-    x0 = P.check_domain(x0)
+    points = np.asarray(x0, dtype=float)
+    batch = points.ndim == 2
+    starts = np.array([P.check_domain(p) for p in (points if batch else [x0])])
     if T <= 0:
         raise ValueError("T must be positive")
     if steps is None:
@@ -92,12 +96,11 @@ def gradient_flow(P: Potential, x0, T: float, steps: int | None = None) -> Traje
         raise ValueError("steps must be >= 2")
 
     feasible = P.in_domain if P.domain != ALL_SPACE else None
-    states = integrate_grid(lambda z: -P.grad_many(z[None, :])[0], x0, T, steps, feasible)
+    states = integrate_grid(lambda X: -P.grad_many(X), starts, T, steps, feasible)
     times = np.linspace(0.0, T, steps + 1)
-    velocities = -P.grad_many(states)
-    traj = Trajectory(times, states, velocities)
-    traj.states[0] = x0  # keep the initial condition exact
-    return traj
+    paths = np.moveaxis(states, 1, 0).copy()  # one contiguous path per start
+    flows = [Trajectory(times, path, -P.grad_many(path)) for path in paths]
+    return flows if batch else flows[0]
 
 
 def closed_form_flow(kind: str, x0, t: float) -> np.ndarray:

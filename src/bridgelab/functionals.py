@@ -49,18 +49,28 @@ class EnvelopeCheck:
 
 def action_cost(traj: Trajectory, P: Potential) -> float:
     """Trapezoidal quadrature of |v|^2 + |F'(x)|^2 using stored velocities."""
+    return trapezoid_cost(traj, P.grad_many(traj.states))
+
+
+def conserved_energy(traj: Trajectory, P: Potential) -> EnergyStats:
+    """E(t) = |v(t)|^2 - |F'(x(t))|^2 per node; constant on true bridges."""
+    return energy_stats(traj, P.grad_many(traj.states))
+
+
+def trapezoid_cost(traj: Trajectory, grads: np.ndarray) -> float:
+    """``action_cost`` from the rows F'(x) at the nodes, evaluated once by the caller."""
     if traj.n_nodes < 3:
         raise ValueError("action_cost needs at least 3 nodes")
     h = traj.spacing()
-    g = np.sum(traj.velocities**2, axis=1) + np.sum(P.grad_many(traj.states) ** 2, axis=1)
+    g = np.sum(traj.velocities**2, axis=1) + np.sum(grads**2, axis=1)
     w = np.full(traj.n_nodes, h)
     w[0] = w[-1] = 0.5 * h
     return float(w @ g)
 
 
-def conserved_energy(traj: Trajectory, P: Potential) -> EnergyStats:
-    """E(t) = |v(t)|^2 - |F'(x(t))|^2 per node; constant on true bridges."""
-    E = np.sum(traj.velocities**2, axis=1) - np.sum(P.grad_many(traj.states) ** 2, axis=1)
+def energy_stats(traj: Trajectory, grads: np.ndarray) -> EnergyStats:
+    """``conserved_energy`` from the rows F'(x) at the nodes, evaluated once by the caller."""
+    E = np.sum(traj.velocities**2, axis=1) - np.sum(grads**2, axis=1)
     mean = float(np.mean(E))
     return EnergyStats(
         mean=mean,

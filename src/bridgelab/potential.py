@@ -210,11 +210,11 @@ class Potential:
     # -- domain --------------------------------------------------------------
 
     def in_domain(self, x: np.ndarray) -> bool:
-        if not np.isfinite(x).all():
-            return False
         if self.domain == POSITIVE_ORTHANT:
-            return bool((x > 0.0).all())
-        return True
+            # the integrators ask this of every stage state; min and max
+            # propagate NaN, so these two reductions decide it
+            return bool(0.0 < np.minimum.reduce(x, None) and np.maximum.reduce(x, None) < np.inf)
+        return bool(np.isfinite(x).all())
 
     def check_domain(self, x: np.ndarray) -> np.ndarray:
         x = as_point(x, self.dim)

@@ -163,6 +163,20 @@ def test_criterion_5_bound_catalogue_zero_failures():
     _report(5, "bound catalogue B1-B12", ok, f"({total} reports, failures: {failures})")
 
 
+def test_criterion_5_companion_catalogue_on_solved_quadratic_at_T20():
+    # the case criterion 5 takes from the closed form, solved by multiple
+    # shooting instead; B9's true margin here is about 3.3e-8, so the grid
+    # keeps the trapezoid cost bias (about 2.6e-8 at h = 1.25e-4) below it
+    P = Potential.quadratic_isotropic(1)
+    opts = SolverOptions(grid_points=160001)
+    sol = solve_bridge_shooting(P, [2.0], [1.0], 20.0, opts)
+    reports = verify_bounds(P, [2.0], [1.0], 20.0, solution=sol, opts=opts)
+    failures = [(r.bound_id, r.context.get("t"), r.margin) for r in reports if not r.passed]
+    ok = sol.context["segments"] > 1 and not failures and len(reports) > 20
+    _report("5b", "bound catalogue on a solved quadratic bridge at T=20", ok,
+            f"({len(reports)} reports, {sol.context['segments']} segments, failures: {failures})")
+
+
 def test_criterion_6_turnpike_sharpness():
     P = Potential.neg_log(1)
     T = 1000.0

@@ -223,6 +223,58 @@ def test_shooting_escape_when_every_start_leaves_domain():
         solve_bridge_shooting(P, [1.0], [0.05], 0.1, SolverOptions(max_iter=1))
 
 
+# -- multiple shooting --------------------------------------------------------
+
+
+def sup_error_against_closed_form(kind, P, x, y, T, grid_points=None):
+    sol = solve_bridge_shooting(P, x, y, T, SolverOptions(grid_points=grid_points))
+    exact = closed_form_bridge_trajectory(kind, x, y, T, sol.trajectory.n_nodes - 1)
+    return sol, float(np.max(np.abs(sol.trajectory.states - exact.states)))
+
+
+@pytest.mark.parametrize("T, segments", [(50.0, 10), (1000.0, 200)])
+def test_multiple_shooting_neglog_long_horizon_matches_closed_form(T, segments):
+    sol, err = sup_error_against_closed_form(NEGLOG, Potential.neg_log(1), [1.0], [1.0], T)
+    assert sol.context["segments"] == segments
+    assert sol.trajectory.n_nodes == 100 * int(T) + 1  # the default grid
+    assert err <= 1e-8
+
+
+def test_multiple_shooting_quadratic_beyond_single_shooting_reach():
+    sol, err = sup_error_against_closed_form(QUAD, Potential.quadratic_isotropic(1), [2.0], [1.0], 200.0)
+    assert sol.context["segments"] == 40
+    assert err <= 1e-9
+
+
+@pytest.mark.parametrize("P, x, y, T", [
+    (Potential.neg_log(2), [1.0, 0.7], [1.6, 2.2], 23.0),
+    (Potential.quadratic_isotropic(2), [2.0, -1.0], [1.0, 0.5], 12.0),
+])
+def test_multiple_shooting_segments_meet_within_the_boundary_tolerance(P, x, y, T):
+    opts = SolverOptions(grid_points=2001)
+    sol = solve_bridge_shooting(P, x, y, T, opts)
+    traj = sol.trajectory
+    steps = traj.n_nodes - 1
+    starts, k = bridge_module._segment_starts(P, T, steps)
+    assert sol.context["segments"] == len(starts) > 2 and sol.boundary_error < opts.tol_boundary
+    phase = np.hstack([traj.states, traj.velocities])
+    # each segment, integrated alone from its stored start, reproduces the
+    # stored nodes up to the next start and misses that start by at most tol
+    ends = list(starts[1:]) + [steps]
+    for s, e in zip(starts, ends):
+        alone = bridge_module._integrate_phase(P, phase[s], k * T / steps, k)
+        np.testing.assert_allclose(alone[:e - s], phase[s:e], rtol=0, atol=1e-15)
+        assert np.max(np.abs(alone[e - s] - phase[e])) <= opts.tol_boundary
+    assert np.max(np.abs(traj.states[-1] - y)) <= opts.tol_boundary
+    assert np.array_equal(traj.states[0], x)
+
+
+def test_short_horizons_keep_single_shooting():
+    for P, T in ((Potential.neg_log(1), 5.0), (Potential.quadratic_isotropic(1), 5.0)):
+        sol = solve_bridge_shooting(P, [1.0], [1.2], T, SolverOptions(grid_points=501))
+        assert sol.context["segments"] == 1
+
+
 # -- action minimization --------------------------------------------------------
 
 

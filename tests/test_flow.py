@@ -57,6 +57,19 @@ def test_flow_velocities_are_negative_gradients():
     np.testing.assert_allclose(traj.velocities, -P.grad_many(traj.states))
 
 
+@pytest.mark.parametrize("P, starts", [
+    (Potential.neg_log(2), [[1.0, 2.0], [0.3, 0.7], [2.5, 0.1]]),
+    (Potential.quadratic_isotropic(2), [[2.0, -1.0], [0.0, 0.0]]),
+])
+def test_flows_from_rows_equal_flows_from_each_point(P, starts):
+    flows = gradient_flow(P, np.array(starts), 1.5, steps=30)
+    assert len(flows) == len(starts)
+    for start, flow in zip(starts, flows):
+        alone = gradient_flow(P, start, 1.5, steps=30)
+        assert np.array_equal(flow.states, alone.states)
+        assert np.array_equal(flow.velocities, alone.velocities)
+
+
 def test_monotone_dissipation_along_flows():
     for P, x0 in (
         (Potential.quadratic_isotropic(2), [1.5, -2.0]),

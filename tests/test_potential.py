@@ -65,6 +65,13 @@ def test_in_domain_rejects_nonfinite_points_and_the_boundary():
         assert not P.in_domain(np.array(bad)) and not Q.in_domain(np.array(bad))
     assert not P.in_domain(np.array([0.0, 1.0])) and not P.in_domain(np.array([-0.0, 1.0]))
     assert P.in_domain(np.array([1e-300, 1.0])) and Q.in_domain(np.array([0.0, -1.0]))
+    # a batch of rows is inside exactly when every row is
+    rows = np.array([[1.0, 2.0], [0.5, 3.0]])
+    assert P.in_domain(rows) and Q.in_domain(-rows)
+    for bad in (np.nan, np.inf, -np.inf, 0.0):
+        rows[1, 0] = bad
+        assert not P.in_domain(rows)
+        assert Q.in_domain(rows) == (bad == 0.0)
 
 
 def test_quadratic_matrix_rho_is_smallest_eigenvalue():

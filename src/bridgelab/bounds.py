@@ -75,14 +75,15 @@ def verify_bounds(
     t_values=None,
     theta_values=None,
     opts: SolverOptions | None = None,
-    both_orientations: bool = True,
 ) -> list[BoundReport]:
     """Evaluate every applicable bound on one solved case.
 
     `solution` is solved on demand; `c1` (the cost at unit horizon, needed by
     the logarithmic cost bounds) is likewise computed by an extra solve when
     a bound requires it. `t_values` defaults to {T/4, T/2, 3T/4} and
-    `theta_values` to {0.1, ..., 0.9}.
+    `theta_values` to {0.1, ..., 0.9}. Unless x == y, the reversed bridge
+    from y to x is checked too; each report's `context["orientation"]` is
+    "forward" or "reversed".
     """
     opts = opts or SolverOptions()
     x = P.check_domain(x)
@@ -101,7 +102,7 @@ def verify_bounds(
         except BridgeLabError as exc:
             raise MissingPrerequisite(f"could not compute the unit-horizon cost: {exc}") from exc
 
-    both = both_orientations and not np.array_equal(x, y)
+    both = not np.array_equal(x, y)
     sources = [x, y] if both else [x]
     # the gradient flows of the orientations, one from each source, as one batch
     flows = [None, None]

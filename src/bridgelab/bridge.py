@@ -25,10 +25,6 @@ from .flow import Trajectory, default_steps, gradient_flow
 from .functionals import energy_stats, trapezoid_cost
 from .potential import ALL_SPACE, NEG_LOG, QUADRATIC_ISOTROPIC, Potential
 
-#: Beyond this horizon ``auto`` sends potentials with a positive convexity
-#: bound straight to the action route (see ``solve_bridge``).
-AUTO_ACTION_HORIZON = 30.0
-
 
 @dataclass
 class SolverOptions:
@@ -306,8 +302,7 @@ def _velocity_matrix_apply(path: np.ndarray, h: float) -> np.ndarray:
     return v
 
 
-def solve_bridge_action(P: Potential, x, y, T: float, grid_points: int | None = None,
-                        opts: SolverOptions | None = None) -> BridgeSolution:
+def solve_bridge_action(P: Potential, x, y, T: float, opts: SolverOptions | None = None) -> BridgeSolution:
     """Minimize the discretized action over interior nodes (endpoints pinned).
 
     The kinetic term is integrated with interval-midpoint speeds
@@ -326,9 +321,7 @@ def solve_bridge_action(P: Potential, x, y, T: float, grid_points: int | None = 
     y = P.check_domain(y)
     if T <= 0:
         raise ValueError("T must be positive")
-    n_nodes = grid_points if grid_points is not None else opts.nodes(T)
-    if n_nodes < 3:
-        raise ValueError("grid_points must be >= 3")
+    n_nodes = opts.nodes(T)
     d = P.dim
     h = T / (n_nodes - 1)
     w = np.full(n_nodes, h)
@@ -442,11 +435,11 @@ def _lbfgs(fun_grad, z0, memory=12):
 
 
 def solve_bridge(P: Potential, x, y, T: float, opts: SolverOptions | None = None) -> BridgeSolution:
-    """Dispatch on opts.method; ``auto`` falls back to action minimization.
+    """Dispatch on opts.method.
 
-    Beyond AUTO_ACTION_HORIZON auto sends potentials with rho > 0 straight
-    to the action route. The rule dates from single shooting, whose landing
-    map is exp(rho T)-sensitive; multiple shooting reaches those horizons.
+    ``auto`` tries shooting at every horizon and falls back to action
+    minimization only when shooting raises NoConvergence, DomainEscape or
+    NonFinite.
     """
     opts = opts or SolverOptions()
     if opts.method == "shooting":
@@ -455,8 +448,6 @@ def solve_bridge(P: Potential, x, y, T: float, opts: SolverOptions | None = None
         return solve_bridge_action(P, x, y, T, opts=opts)
     if opts.method != "auto":
         raise ValueError(f"unknown solver method {opts.method!r}")
-    if P.rho is not None and P.rho > 0 and T > AUTO_ACTION_HORIZON:
-        return solve_bridge_action(P, x, y, T, opts=opts)
     try:
         return solve_bridge_shooting(P, x, y, T, opts)
     except (NoConvergence, DomainEscape, NonFinite):

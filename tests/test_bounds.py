@@ -115,8 +115,8 @@ def test_b6_is_tight_on_the_isotropic_quadratic():
     P = Potential.quadratic_isotropic(1)
     T = 2.0
     sol = closed_form_solution(QUAD, P, [2.0], [1.0], T, 2000)
-    reports = verify_bounds(P, [2.0], [1.0], T, solution=sol, both_orientations=False)
-    b6 = [r for r in reports if r.bound_id == "B6"]
+    reports = verify_bounds(P, [2.0], [1.0], T, solution=sol)
+    b6 = [r for r in reports if r.bound_id == "B6" and r.context["orientation"] == "forward"]
     assert len(b6) == 3
     for rep in b6:
         assert abs(rep.margin) <= 1e-9 * (1.0 + abs(rep.rhs))
@@ -126,8 +126,8 @@ def test_b6_is_tight_on_the_isotropic_quadratic():
 def test_b10_log_sobolev_equality_for_isotropic_quadratic():
     P = Potential.quadratic_isotropic(1)
     sol = closed_form_solution(QUAD, P, [2.0], [1.0], 2.0, 1000)
-    reports = verify_bounds(P, [2.0], [1.0], 2.0, solution=sol, both_orientations=False)
-    b10 = [r for r in reports if r.bound_id == "B10"]
+    reports = verify_bounds(P, [2.0], [1.0], 2.0, solution=sol)
+    b10 = [r for r in reports if r.bound_id == "B10" and r.context["orientation"] == "forward"]
     assert len(b10) == 2
     for rep in b10:
         assert rep.margin == pytest.approx(0.0, abs=1e-12)

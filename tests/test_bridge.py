@@ -179,18 +179,40 @@ def test_shooting_multidimensional_matrix_potential():
     sol = solve_bridge_shooting(P, [1.0, -1.0], [0.5, 2.0], 2.0)
     assert sol.boundary_error <= 1e-9
     assert sol.energy_maxdev <= 1e-6 * (1.0 + abs(sol.energy_mean))
-    act = solve_bridge_action(P, [1.0, -1.0], [0.5, 2.0], 2.0, grid_points=401)
+    act = solve_bridge_action(P, [1.0, -1.0], [0.5, 2.0], 2.0, opts=SolverOptions(grid_points=401))
     assert act.cost == pytest.approx(sol.cost, rel=1e-3)
 
 
-def test_auto_long_horizon_strongly_convex_goes_through_action():
-    # the shooting landing map is exp(rho T)-sensitive, so beyond the
-    # crossover the auto route must deliver the action solution
+@pytest.mark.parametrize("T, nodes, segments", [(40.0, 4001, 8), (160.0, 16001, 32)])
+def test_auto_long_horizon_strongly_convex_goes_through_shooting(monkeypatch, T, nodes, segments):
+    # auto tries shooting at every horizon; multiple shooting reaches these
+    def refuse(*args, **kwargs):
+        raise AssertionError("auto called the action route")
+
+    monkeypatch.setattr(bridge_module, "solve_bridge_action", refuse)
     P = Potential.quadratic_isotropic(1)
-    sol = solve_bridge(P, [1.0], [1.0], 40.0, SolverOptions(grid_points=4001))
+    sol = solve_bridge(P, [1.0], [1.0], T, SolverOptions(grid_points=nodes))
+    assert sol.solver == "shooting"
+    assert sol.context["segments"] == segments
+    exact = closed_form_bridge_trajectory(QUAD, [1.0], [1.0], T, nodes - 1)
+    assert np.max(np.abs(sol.trajectory.states - exact.states)) <= 1e-9
+    assert sol.cost == pytest.approx(closed_form_cost(QUAD, [1.0], [1.0], T), rel=1e-4)
+
+
+def test_auto_falls_back_to_action_when_long_horizon_shooting_fails():
+    # a segment spans 5 / max(rho, 1) time units, so the stiff direction's
+    # landing map grows like exp(6 * 5) and shooting cannot land
+    P = Potential.quadratic_matrix(np.diag([0.2, 6.0]))
+    x, y, T = [1.0, -1.0], [0.5, 2.0], 40.0
+    opts = SolverOptions(grid_points=1001)
+    with pytest.raises(NoConvergence):
+        solve_bridge_shooting(P, x, y, T, opts)
+    sol = solve_bridge(P, x, y, T, opts)
+    act = solve_bridge_action(P, x, y, T, opts)
     assert sol.solver == "action"
-    a, b = quad_alpha_beta(1.0, 1.0, 40.0)
-    assert sol.cost == pytest.approx((1.0 - math.exp(-80.0)) * (a * a + b * b), rel=1e-3)
+    assert np.array_equal(sol.trajectory.states, act.trajectory.states)
+    assert np.array_equal(sol.trajectory.velocities, act.trajectory.velocities)
+    assert (sol.cost, sol.energy_mean, sol.iterations) == (act.cost, act.energy_mean, act.iterations)
 
 
 def test_shooting_no_convergence_budget():
@@ -281,20 +303,20 @@ def test_short_horizons_keep_single_shooting():
 def test_action_cross_solver_agreement_quadratic():
     P = Potential.quadratic_isotropic(1)
     shoot = solve_bridge_shooting(P, [2.0], [1.0], 1.0)
-    act = solve_bridge_action(P, [2.0], [1.0], 1.0, grid_points=201)
+    act = solve_bridge_action(P, [2.0], [1.0], 1.0, opts=SolverOptions(grid_points=201))
     assert act.cost == pytest.approx(shoot.cost, rel=1e-4)
 
 
 def test_action_stationary_pair_costs_nothing():
     P = Potential.quadratic_isotropic(2)
-    sol = solve_bridge_action(P, [0.0, 0.0], [0.0, 0.0], 2.0, grid_points=201)
+    sol = solve_bridge_action(P, [0.0, 0.0], [0.0, 0.0], 2.0, opts=SolverOptions(grid_points=201))
     assert sol.cost <= 1e-8
 
 
 def test_action_cross_solver_agreement_neglog_long_horizon():
     P = Potential.neg_log(1)
     shoot = solve_bridge_shooting(P, [1.0], [1.0], 10.0)
-    act = solve_bridge_action(P, [1.0], [1.0], 10.0, grid_points=1001)
+    act = solve_bridge_action(P, [1.0], [1.0], 10.0, opts=SolverOptions(grid_points=1001))
     assert act.cost == pytest.approx(shoot.cost, rel=0.02)
 
 

@@ -144,6 +144,9 @@ def _verify_one_orientation(P, x, y, T, sol, flow, c1, t_values, theta_values, o
         "energy_maxdev": sol.energy_maxdev,
     }
 
+    # the node nearest each of t_values, shared by B2, B4, B6, B7 and B8
+    nodes = [(idx, float(traj.times[idx])) for idx in map(traj.nearest_index, t_values)]
+
     def phi_sq(idx: int) -> float:
         phi = defect_field(traj, P, traj.times[idx])
         return float(phi @ phi)
@@ -155,9 +158,7 @@ def _verify_one_orientation(P, x, y, T, sol, flow, c1, t_values, theta_values, o
                 _report("B1", C, c1 + 2.0 * n * math.log(T), part="cost", c1=c1, **base)
             )
         log_budget = 2.0 * Fy - 2.0 * Fx + (c1 if c1 is not None else 0.0) + 2.0 * n * math.log(max(T, 1.0))
-        for t in t_values:
-            idx = traj.nearest_index(t)
-            tt = float(traj.times[idx])
+        for idx, tt in nodes:
             if c1 is not None and T >= 1.0 and tt < T:
                 reports.append(
                     _report("B2", phi_sq(idx), log_budget / (T - tt), t=tt, c1=c1, **base)
@@ -175,9 +176,7 @@ def _verify_one_orientation(P, x, y, T, sol, flow, c1, t_values, theta_values, o
                     **base,
                 )
             )
-        for t in t_values:
-            idx = traj.nearest_index(t)
-            tt = float(traj.times[idx])
+        for idx, tt in nodes:
             dist = float(np.linalg.norm(traj.states[idx] - flow.states[idx]))
             if c1 is not None and T >= 1.0:
                 budget = max(2.0 * (Fy - Fx) + c1 + 2.0 * n * math.log(T), 0.0)
@@ -200,9 +199,7 @@ def _verify_one_orientation(P, x, y, T, sol, flow, c1, t_values, theta_values, o
 
     if rho_pos:
         budget = max(C + 2.0 * Fy - 2.0 * Fx, 0.0)
-        for t in t_values:
-            idx = traj.nearest_index(t)
-            tt = float(traj.times[idx])
+        for idx, tt in nodes:
             if tt < T:
                 rhs = 2.0 * rho / math.expm1(2.0 * rho * (T - tt)) * budget
                 reports.append(_report("B4", phi_sq(idx), rhs, t=tt, **base))
@@ -210,9 +207,7 @@ def _verify_one_orientation(P, x, y, T, sol, flow, c1, t_values, theta_values, o
         reports.append(
             _report("B5", abs(E), 2.0 * rho / math.expm1(rho * T) * math.sqrt(disc), **base)
         )
-        for t in t_values:
-            idx = traj.nearest_index(t)
-            tt = float(traj.times[idx])
+        for idx, tt in nodes:
             dist = float(np.linalg.norm(traj.states[idx] - flow.states[idx]))
             denom = math.exp(-2.0 * rho * tt) - math.exp(-2.0 * rho * T)
             if denom > 0:
@@ -220,9 +215,7 @@ def _verify_one_orientation(P, x, y, T, sol, flow, c1, t_values, theta_values, o
                 reports.append(_report("B7", dist, rhs, t=tt, **base))
         if has_min:
             Fstar = P.value(P.minimizer)
-            for t in t_values:
-                idx = traj.nearest_index(t)
-                tt = float(traj.times[idx])
+            for idx, tt in nodes:
                 c = Fstar - E / (4.0 * rho)
                 s1 = _sinh_ratio(2.0 * rho * (T - tt), 2.0 * rho * T)
                 s2 = _sinh_ratio(2.0 * rho * tt, 2.0 * rho * T)

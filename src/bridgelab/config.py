@@ -10,7 +10,7 @@ import numpy as np
 
 from .bridge import SolverOptions
 from .errors import ConfigError
-from .potential import Potential, potential_from_config
+from .potential import Potential, as_count, potential_from_config
 
 MODES = ("bridge", "flow", "gaussian", "verify", "sweep")
 METHODS = ("shooting", "action", "auto")
@@ -96,10 +96,11 @@ def parse_config(data: dict, *, name_hint: str = "config") -> ExperimentConfig:
     try:
         solver = SolverOptions(
             method=method,
-            max_iter=int(solver_desc.get("max_iter", 100)),
+            max_iter=as_count(solver_desc.get("max_iter", 100), "solver.max_iter"),
             tol_boundary=float(solver_desc.get("tol_boundary", 1e-9)),
             grid_points=(
-                int(solver_desc["grid_points"]) if "grid_points" in solver_desc else None
+                as_count(solver_desc["grid_points"], "solver.grid_points")
+                if "grid_points" in solver_desc else None
             ),
         )
     except (TypeError, ValueError) as exc:

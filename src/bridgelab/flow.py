@@ -82,8 +82,8 @@ def gradient_flow(P: Potential, x0, T: float, steps: int | None = None):
     starting points, which are integrated as one batch and give a list of m
     Trajectories. The grid is uniform with `steps` intervals (default
     heuristic ``ceil(max(100, 100 T))``). Node velocities are -F'(state).
-    For positive-orthant potentials a step that leaves the orthant is retried
-    with halved substeps before DomainEscape is raised.
+    For positive-orthant potentials a step that leaves the orthant raises
+    DomainEscape.
     """
     points = np.asarray(x0, dtype=float)
     batch = points.ndim == 2

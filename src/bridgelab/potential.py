@@ -33,6 +33,18 @@ def as_point(x, dim: int) -> np.ndarray:
     return x
 
 
+def as_count(value, what: str) -> int:
+    """`value` as an int; a boolean or a non-integral number is a ValueError."""
+    try:
+        n = int(value)
+        whole = not isinstance(value, (bool, np.bool_)) and n == float(value)
+    except (TypeError, ValueError, OverflowError):
+        whole = False
+    if not whole:
+        raise ValueError(f"{what} must be a whole number, got {value!r}")
+    return n
+
+
 def _by_shape(point_fn, rows_fn):
     """One callable for a point (d,) and for rows (m, d), dispatching on ndim."""
     return lambda X: point_fn(X) if X.ndim == 1 else rows_fn(X)
@@ -316,11 +328,11 @@ def potential_from_config(desc: dict) -> Potential:
     """
     kind = desc.get("kind")
     if kind == QUADRATIC_ISOTROPIC:
-        return Potential.quadratic_isotropic(int(desc.get("dim", 1)))
+        return Potential.quadratic_isotropic(as_count(desc.get("dim", 1), "dim"))
     if kind == QUADRATIC_MATRIX:
         if "matrix" not in desc:
             raise ValueError("quadratic_matrix potential needs a 'matrix' entry")
         return Potential.quadratic_matrix(desc["matrix"])
     if kind == NEG_LOG:
-        return Potential.neg_log(int(desc.get("dim", 1)))
+        return Potential.neg_log(as_count(desc.get("dim", 1), "dim"))
     raise ValueError(f"unknown potential kind {kind!r}")

@@ -68,10 +68,16 @@ def test_run_rejects_bad_mode_and_missing_file(tmp_path):
         {"solver": {"method": "shooting", "tol_boundary": -1e-9}},
         {"solver": {"method": "shooting", "tol_boundary": float("nan")}},
         {"solver": {"method": "shooting", "tol_boundary": float("inf")}},
+        {"solver": {"method": "shooting", "grid_points": 200.7}},
+        {"solver": {"method": "shooting", "max_iter": 2.9}},
+        {"solver": {"method": "shooting", "max_iter": True}},
+        {"potential": {"kind": "quadratic_isotropic", "dim": 1.5}},
+        {"potential": {"kind": "neg_log", "dim": True}},
     ],
     ids=["T_text", "T_null", "theta_text", "t_fraction_list", "endpoints_list",
          "outputs_text", "grid_points_small", "max_iter_zero", "tol_zero",
-         "tol_negative", "tol_nan", "tol_inf"],
+         "tol_negative", "tol_nan", "tol_inf", "grid_points_fraction",
+         "max_iter_fraction", "max_iter_bool", "dim_fraction", "dim_bool"],
 )
 def test_malformed_config_is_a_config_error(tmp_path, capsys, patch):
     cfg = write_config(tmp_path, {**BASE, **patch})

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bridgelab import DomainEscape, Potential
+from bridgelab import DomainEscape, NonFinite, Potential
 from bridgelab._integrate import integrate_grid
 
 
@@ -19,19 +19,22 @@ def recording(field):
     return rhs, seen
 
 
-def test_rhs_only_sees_feasible_states_while_steps_halve():
+def test_a_midpoint_stage_outside_raises_before_rhs_sees_it():
     # dz/dt = -z from 1 with one step of 2.5: the first midpoint stage lands
-    # at -0.25, while every stage of a half step stays positive
+    # at -0.25, so the step raises after rhs saw only its start
     rhs, seen = recording(lambda z: -z)
-    out = integrate_grid(rhs, [1.0], 2.5, 1, positive)
+    with pytest.raises(DomainEscape):
+        integrate_grid(rhs, [1.0], 2.5, 1, positive)
+    assert len(seen) == 1 and seen[0][0] == 1.0
+    # two steps of 1.25 keep every stage positive and match the unguarded path
+    rhs, seen = recording(lambda z: -z)
+    out = integrate_grid(rhs, [1.0], 2.5, 2, positive)
     assert all(positive(z) for z in seen)
-    assert any(z[0] == 1.0 for z in seen[1:])  # the step was retried from its start
-    two_half_steps = integrate_grid(lambda z: -z, [1.0], 2.5, 2)
-    assert out[-1, 0] == two_half_steps[-1, 0] > 0.0
+    assert np.array_equal(out, integrate_grid(lambda z: -z, [1.0], 2.5, 2))
 
 
 def test_true_escape_raises_without_evaluating_rhs_outside():
-    # constant drift through the boundary at t = 1: no substep can stay inside
+    # constant drift through the boundary at t = 1
     rhs, seen = recording(lambda z: -np.ones_like(z))
     with pytest.raises(DomainEscape):
         integrate_grid(rhs, [1.0], 2.0, 4, positive)
@@ -40,6 +43,29 @@ def test_true_escape_raises_without_evaluating_rhs_outside():
     with pytest.raises(DomainEscape):
         integrate_grid(rhs, [-1.0], 1.0, 4, positive)
     assert not seen
+
+
+def test_overflow_on_all_space_raises_nonfinite():
+    # dz/dt = z^2 from 1e200 overflows in the first step
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFinite):
+        integrate_grid(lambda z: z * z, [1e200], 1.0, 10)
+
+
+def test_each_step_calls_rhs_and_feasible_four_times_on_the_whole_batch():
+    calls = {"rhs": [], "feasible": []}
+
+    def rhs(z):
+        calls["rhs"].append(z.shape)
+        return -z
+
+    def feasible(z):
+        calls["feasible"].append(z.shape)
+        return positive(z)
+
+    integrate_grid(rhs, [[1.0, 2.0], [3.0, 4.0]], 1.0, 3, feasible)
+    # per step: k1 at the checked start, then three stages and the result
+    assert calls["rhs"] == [(2, 2)] * 12
+    assert calls["feasible"] == [(2, 2)] * (1 + 12)
 
 
 # -- batches --------------------------------------------------------------------
@@ -56,8 +82,7 @@ def phase_rows(P):
 
 
 @pytest.mark.parametrize("P, rows", [
-    # the second neg-log row's inner stages leave the orthant, so it is refined
-    (Potential.neg_log(1), [[1.0, 0.3], [0.1, 11.5], [2.0, -0.4], [0.5, 2.5]]),
+    (Potential.neg_log(1), [[1.0, 0.3], [2.0, -0.4], [0.5, 2.5]]),
     (Potential.quadratic_isotropic(2), [[1.0, -2.0, 0.5, 0.0], [0.0, 0.0, 0.0, 0.0],
                                         [-3.0, 0.25, 1.0, -1.5]]),
 ])
@@ -70,21 +95,19 @@ def test_batch_rows_equal_single_state_integrations(P, rows):
         assert np.array_equal(batch[:, r], alone)
 
 
-def test_only_the_row_whose_midpoint_leaves_the_orthant_is_halved():
+def test_a_row_whose_midpoint_leaves_the_orthant_fails_the_batch_before_rhs_sees_it():
     # column 0 decays at the rate in column 1: with one step of 2.5 the first
-    # midpoint stage of the fast row lands at -0.25, the slow row's at 0.75
+    # midpoint stage of the fast row lands at -0.25, the others stay positive
     def field(z):
         return np.stack([-z[..., 0] * z[..., 1], 0.0 * z[..., 1]], axis=-1)
 
     rhs, seen = recording(field)
     rows = np.array([[1.0, 0.2], [1.0, 1.0], [2.0, 0.1]])
-    out = integrate_grid(rhs, rows, 2.5, 1, positive)
-    assert all(positive(z) for z in seen)
-    assert {len(z) for z in seen} == {3, 2, 1}  # the batch, its two clean rows, the halved row
-    assert all(z[0, 1] == 1.0 for z in seen if len(z) == 1)
-    assert np.array_equal(out[-1, 1], integrate_grid(field, rows[1:2], 2.5, 2)[-1, 0])
-    for r in (0, 2):
-        assert np.array_equal(out[-1, r], integrate_grid(field, rows[r:r + 1], 2.5, 1)[-1, 0])
+    with pytest.raises(DomainEscape):
+        integrate_grid(rhs, rows, 2.5, 1, positive)
+    assert len(seen) == 1 and np.array_equal(seen[0], rows)
+    for r in (0, 2):  # the other rows integrate alone without raising
+        integrate_grid(field, rows[r], 2.5, 1, positive)
 
 
 def test_a_row_that_keeps_escaping_fails_the_whole_batch():
@@ -92,3 +115,9 @@ def test_a_row_that_keeps_escaping_fails_the_whole_batch():
     # the second row falls into the origin well before T
     with pytest.raises(DomainEscape):
         integrate_grid(rhs, [[1.0, 0.3], [0.5, -5.0], [2.0, 0.0]], 1.0, 10, feasible)
+    # the inner stages of [0.1, 11.5] leave the orthant in its first step, so it
+    # raises alone and in a batch with rows that integrate cleanly
+    with pytest.raises(DomainEscape):
+        integrate_grid(rhs, [0.1, 11.5], 1.0, 4, feasible)
+    with pytest.raises(DomainEscape):
+        integrate_grid(rhs, [[1.0, 0.3], [0.1, 11.5], [2.0, -0.4]], 1.0, 4, feasible)

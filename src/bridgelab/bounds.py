@@ -64,6 +64,19 @@ def _sinh_ratio(a: float, b: float) -> float:
     return (math.exp(a - b) - math.exp(-a - b)) / (1.0 - math.exp(-2.0 * b))
 
 
+def unit_horizon_cost(P: Potential, x, y, opts: SolverOptions | None = None) -> float | None:
+    """c1, the cost of the bridge from x to y at horizon 1, which the
+    logarithmic bounds need; None when P has no finite dimension parameter,
+    since no bound then uses it. A failed solve raises MissingPrerequisite.
+    """
+    if not np.isfinite(P.n_dim):
+        return None
+    try:
+        return solve_bridge(P, x, y, 1.0, opts).cost
+    except BridgeLabError as exc:
+        raise MissingPrerequisite(f"could not compute the unit-horizon cost: {exc}") from exc
+
+
 def verify_bounds(
     P: Potential,
     x,
@@ -78,10 +91,10 @@ def verify_bounds(
 ) -> list[BoundReport]:
     """Evaluate every applicable bound on one solved case.
 
-    `solution` is solved on demand; `c1` (the cost at unit horizon, needed by
-    the logarithmic cost bounds) is likewise computed by an extra solve when
-    a bound requires it. `t_values` defaults to {T/4, T/2, 3T/4} and
-    `theta_values` to {0.1, ..., 0.9}. Unless x == y, the reversed bridge
+    `solution` is solved on demand, and so is `c1` (see
+    ``unit_horizon_cost``); a caller checking several horizons of one pair
+    can solve `c1` once and pass it. `t_values` defaults to
+    {T/4, T/2, 3T/4} and `theta_values` to {0.1, ..., 0.9}. Unless x == y, the reversed bridge
     from y to x is checked too; each report's `context["orientation"]` is
     "forward" or "reversed".
     """
@@ -96,11 +109,8 @@ def verify_bounds(
     if solution is None:
         solution = solve_bridge(P, x, y, T, opts)
 
-    if c1 is None and np.isfinite(P.n_dim):
-        try:
-            c1 = solve_bridge(P, x, y, 1.0, opts).cost
-        except BridgeLabError as exc:
-            raise MissingPrerequisite(f"could not compute the unit-horizon cost: {exc}") from exc
+    if c1 is None:
+        c1 = unit_horizon_cost(P, x, y, opts)
 
     both = not np.array_equal(x, y)
     sources = [x, y] if both else [x]

@@ -26,13 +26,18 @@ from .functionals import energy_stats, trapezoid_cost
 from .potential import ALL_SPACE, NEG_LOG, QUADRATIC_ISOTROPIC, Potential
 
 
-@dataclass
-class SolverOptions:
-    """Knobs shared by the bridge solvers.
+METHODS = ("shooting", "action", "auto")
 
-    ``grid_points`` is the number of nodes of the returned trajectory
-    (default ``default_steps(T) + 1``); ``method`` is one of ``shooting``,
-    ``action`` or ``auto`` (shooting first, action on failure).
+
+@dataclass(frozen=True)
+class SolverOptions:
+    """Knobs shared by the bridge solvers, checked once on construction.
+
+    ``grid_points`` is the number of nodes of the returned trajectory, at
+    least 3 (default ``default_steps(T) + 1``); ``method`` is one of
+    ``shooting``, ``action`` or ``auto`` (shooting first, action on
+    failure); ``max_iter`` is at least 1 and ``tol_boundary`` is finite and
+    positive. A value out of range is a ValueError.
     """
 
     method: str = "auto"
@@ -40,10 +45,18 @@ class SolverOptions:
     tol_boundary: float = 1e-9
     grid_points: int | None = None
 
+    def __post_init__(self):
+        if self.method not in METHODS:
+            raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be >= 1")
+        if not 0.0 < self.tol_boundary < math.inf:
+            raise ValueError("tol_boundary must be finite and positive")
+        if self.grid_points is not None and self.grid_points < 3:
+            raise ValueError("grid_points must be >= 3")
+
     def nodes(self, T: float) -> int:
         if self.grid_points is not None:
-            if self.grid_points < 3:
-                raise ValueError("grid_points must be >= 3")
             return int(self.grid_points)
         return default_steps(T) + 1
 
@@ -96,9 +109,9 @@ def _finish_solution(traj, P, solver, boundary_error, iterations, **context) -> 
 # -- shooting -----------------------------------------------------------------
 
 
-def _integrate_phase(P: Potential, z0: np.ndarray, T: float, steps: int) -> np.ndarray:
-    """Integrate the phase-space Newton system from one state (2d,) or rows
-    (m, 2d) of states; returns (steps + 1,) + z0.shape."""
+def _integrate_phase(P: Potential, Z0: np.ndarray, T: float, steps: int) -> np.ndarray:
+    """Integrate the phase-space Newton system from rows (m, 2d) of states as
+    one batch; returns (steps + 1, m, 2d)."""
     d = P.dim
     # integrate_grid runs `feasible` on every stage state before rhs sees it,
     # so the force is evaluated without checking the state again
@@ -108,12 +121,12 @@ def _integrate_phase(P: Potential, z0: np.ndarray, T: float, steps: int) -> np.n
         feasible = None
     else:
         def feasible(z):
-            return P.in_domain(z[..., :d])
+            return P.in_domain(z[:, :d])
 
     def rhs(z):
-        return np.concatenate([z[..., d:], force(z[..., :d])], axis=-1)
+        return np.concatenate([z[:, d:], force(z[:, :d])], axis=1)
 
-    return integrate_grid(rhs, z0, T, steps, feasible)
+    return integrate_grid(rhs, Z0, T, steps, feasible)
 
 
 #: Multiple shooting cuts [0, T] into segments of at most
@@ -145,15 +158,16 @@ def solve_bridge_shooting(P: Potential, x, y, T: float, opts: SolverOptions | No
     The unknowns are the initial velocity and the initial states of
     segments 2..M; the residuals are the junction defects and the landing
     error at y, and the returned ``boundary_error`` is their sup norm. All
-    segments advance as one RK4 batch.
+    segments advance as one RK4 batch; single shooting is the case M = 1, a
+    batch of one row on the same landing map.
 
-    With M = 1 this is single shooting: Newton starts from the straight line
-    (y - x)/T and, if that fails, from (y - x)/T - F'(x), which leaves x
-    along the gradient flow that long bridges follow. With M > 1 it starts
-    from the paper's long-time picture (the turnpike seed): segment states
-    on [0, T/2] follow the gradient flow from x with velocity -F', those on
-    (T/2, T] the reversed flow from y with velocity +F'; both flows run as
-    one batch on the solve's grid.
+    With M = 1 Newton starts from the straight line (y - x)/T and, if that
+    fails, from (y - x)/T - F'(x), which leaves x along the gradient flow
+    that long bridges follow. With M > 1 it starts from the paper's
+    long-time picture (the turnpike seed): segment states on [0, T/2]
+    follow the gradient flow from x with velocity -F', those on (T/2, T]
+    the reversed flow from y with velocity +F'; both flows run as one batch
+    on the solve's grid.
 
     The Jacobian uses forward differences, with step 1e-6*(1+|s|) for a
     segment's unknowns s, all integrated as one batch, and only at an
@@ -190,10 +204,7 @@ def solve_bridge_shooting(P: Potential, x, y, T: float, opts: SolverOptions | No
         """Sup-norm error, (k + 1, M, 2d) segment paths and residuals of u."""
         Z = initial_states(u)
         try:
-            if M == 1:
-                paths = _integrate_phase(P, Z[0], span, k)[:, None, :]
-            else:
-                paths = _integrate_phase(P, Z, span, k)
+            paths = _integrate_phase(P, Z, span, k)
         except (DomainEscape, NonFinite):
             return np.inf, None, None
         r = paths[meet, np.arange(M)].ravel()[:n] - targets(Z)
@@ -221,14 +232,16 @@ def solve_bridge_shooting(P: Potential, x, y, T: float, opts: SolverOptions | No
             J[lo:hi, p] = (end[p, :hi - lo] - base[lo:hi]) / fd[p]
         return J
 
-    straight = (y - x) / T
+    # starting guesses, each built only when the one before it has failed
+    if M == 1:
+        straight = (y - x) / T
+        guesses = (lambda: straight, lambda: straight - P.grad(x))
+    else:
+        guesses = (lambda: _turnpike_seed(P, x, y, T, steps, starts),)
     total_iters = 0
     landed = False
-    for attempt in range(2 if M == 1 else 1):
-        if M > 1:
-            u = _turnpike_seed(P, x, y, T, steps, starts)
-        else:
-            u = straight - P.grad(x) if attempt else straight
+    for attempt, guess in enumerate(guesses):
+        u = guess()
         err, paths, r = landing_error(u)
         if not np.isfinite(err):
             continue
@@ -446,8 +459,6 @@ def solve_bridge(P: Potential, x, y, T: float, opts: SolverOptions | None = None
         return solve_bridge_shooting(P, x, y, T, opts)
     if opts.method == "action":
         return solve_bridge_action(P, x, y, T, opts=opts)
-    if opts.method != "auto":
-        raise ValueError(f"unknown solver method {opts.method!r}")
     try:
         return solve_bridge_shooting(P, x, y, T, opts)
     except (NoConvergence, DomainEscape, NonFinite):
@@ -469,8 +480,8 @@ def _closed_form(kind: str, x, y, T: float):
     """(path, energy, cost) of the exact interpolation, where known.
 
     ``path(t)`` gives (states, velocities) at one time or on an array of
-    times; a single time is evaluated with ``math``, whose exp can differ
-    from numpy's in the last bit. ``cost()`` is evaluated on demand. For the
+    times, through the same numpy expression, so a time gives the same bits
+    on its own as on a grid. ``cost()`` is evaluated on demand. For the
     log potential (equal endpoints) the kinetic part integrates to -4 A(v0)
     with A(v) = sqrt(1-v^2) - log((1+sqrt(1-v^2))/v) evaluated at
     v0 = sqrt(-E) x, which combines with the conserved quantity into
@@ -485,9 +496,8 @@ def _closed_form(kind: str, x, y, T: float):
         beta = (y - x * em) / den
 
         def path(t):
-            m = math if np.ndim(t) == 0 else np
-            down = np.multiply.outer(m.exp(-t), alpha)
-            up = np.multiply.outer(m.exp(-(T - t)), beta)
+            down = np.multiply.outer(np.exp(-t), alpha)
+            up = np.multiply.outer(np.exp(-(T - t)), beta)
             return down + up, up - down
 
         return (path, float(-4.0 * em * np.dot(alpha, beta)),
@@ -507,9 +517,8 @@ def _closed_form(kind: str, x, y, T: float):
     s = T / D
 
     def path(t):
-        m = math if np.ndim(t) == 0 else np
-        r = m.sqrt(x0 * x0 + t * t * E + 2.0 * t * s)
-        return np.expand_dims(r, -1), np.expand_dims(np.divide(t * E + s, r), -1)
+        r = np.sqrt(x0 * x0 + t * t * E + 2.0 * t * s)
+        return np.expand_dims(r, -1), np.expand_dims((t * E + s) / r, -1)
 
     def cost():
         v0 = math.sqrt(-E) * x0

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bounds import EXPONENTIAL, POWER_LAW, fit_rate, verify_bounds
+from .bounds import EXPONENTIAL, POWER_LAW, fit_rate, unit_horizon_cost, verify_bounds
 from .bridge import solve_bridge
 from .config import ExperimentConfig, builtin_config_names, resolve_config
 from .errors import BridgeLabError, ConfigError, DegenerateSeries, OffGrid
@@ -42,25 +42,21 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _trajectory_rows(traj, P: Potential):
+def _write_trajectory(path: Path, traj, P: Potential) -> None:
+    """One row per node: t, the state, the velocity, E and |F'(x) + v|."""
     grads = P.grad_many(traj.states)
     energy = energy_stats(traj, grads).samples[:, 1]
     phi_norm = np.linalg.norm(grads + traj.velocities, axis=1)
-    rows = []
-    for i, t in enumerate(traj.times):
-        rows.append(
-            [t, *traj.states[i], *traj.velocities[i], energy[i], phi_norm[i]]
-        )
-    return rows
+    header = (["t"] + [f"x_{j + 1}" for j in range(P.dim)]
+              + [f"v_{j + 1}" for j in range(P.dim)] + ["E", "phi_norm"])
+    rows = [[t, *x, *v, e, p]
+            for t, x, v, e, p in zip(traj.times, traj.states, traj.velocities, energy, phi_norm)]
+    _write_csv(path, header, rows)
 
 
-def _trajectory_header(dim: int) -> list[str]:
-    return (
-        ["t"]
-        + [f"x_{j + 1}" for j in range(dim)]
-        + [f"v_{j + 1}" for j in range(dim)]
-        + ["E", "phi_norm"]
-    )
+def _write_cases(path: Path, columns: list[str], cases: list[dict]) -> None:
+    """One row per summary case, read through `columns`; a missing entry is blank."""
+    _write_csv(path, columns, [[case.get(c, "") for c in columns] for case in cases])
 
 
 def _gfmt(T: float) -> str:
@@ -81,10 +77,45 @@ def _solution_diagnostics(T, sol):
     }
 
 
+BOUND_COLUMNS = ["bound_id", "T", "orientation", "t", "theta", "part", "lhs", "rhs", "margin", "pass"]
+
+
+def _bound_row(T, rep) -> list:
+    ctx = rep.context
+    return [rep.bound_id, T, ctx.get("orientation", "forward"), ctx.get("t", ""),
+            ctx.get("theta", ""), ctx.get("part", ctx.get("point", "")),
+            rep.lhs, rep.rhs, rep.margin, rep.passed]
+
+
+def _bound_order(pair) -> tuple:
+    """Sort key of a (T, report) pair: T, bound id, orientation, then the labels."""
+    bound_id, T, orientation, *labels = _bound_row(*pair)[:6]
+    return (T, bound_id, orientation, *map(str, labels))
+
+
+def _once(fn):
+    """fn, called on first use only; later calls return its result, or raise
+    its BridgeLabError, again."""
+    memo = []
+
+    def call():
+        if not memo:
+            try:
+                memo.append((fn(), None))
+            except BridgeLabError as exc:
+                memo.append((None, exc))
+        value, exc = memo[0]
+        if exc is not None:
+            raise exc
+        return value
+
+    return call
+
+
 def _map_cases(fn, T_values, keep_going: bool):
-    """Run fn(T) per case in order; stop at the first failure unless keep_going."""
+    """Run fn(T) per case in increasing T; stop at the first failure unless keep_going."""
     results, failures = {}, {}
-    for T in T_values:
+    for T in sorted(T_values):
         try:
             results[T] = fn(T)
         except BridgeLabError as exc:
@@ -112,34 +143,25 @@ def run(config: ExperimentConfig, *, keep_going: bool = False, threads: int = 1,
         "cases": [],
         "failures": [],
     }
+    cases = summary["cases"]
 
     def solve_case(T):
         return solve_bridge(P, config.x, config.y, T, config.solver)
 
     if config.mode == "bridge":
         results, failures = _map_cases(solve_case, config.T_values, keep_going)
-        for T in sorted(results):
-            sol = results[T]
-            _write_csv(
-                csv_dir / f"{config.name}_bridge_T{_gfmt(T)}.csv",
-                _trajectory_header(P.dim),
-                _trajectory_rows(sol.trajectory, P),
-            )
-            summary["cases"].append(_solution_diagnostics(T, sol))
+        for T, sol in results.items():
+            _write_trajectory(csv_dir / f"{config.name}_bridge_T{_gfmt(T)}.csv", sol.trajectory, P)
+            cases.append(_solution_diagnostics(T, sol))
 
     elif config.mode == "flow":
         def flow_case(T):
             return gradient_flow(P, config.x, T, steps=(config.solver.nodes(T) - 1))
 
         results, failures = _map_cases(flow_case, config.T_values, keep_going)
-        for T in sorted(results):
-            traj = results[T]
-            _write_csv(
-                csv_dir / f"{config.name}_flow_T{_gfmt(T)}.csv",
-                _trajectory_header(P.dim),
-                _trajectory_rows(traj, P),
-            )
-            summary["cases"].append({"T": T, "final_state": [float(v) for v in traj.states[-1]]})
+        for T, traj in results.items():
+            _write_trajectory(csv_dir / f"{config.name}_flow_T{_gfmt(T)}.csv", traj, P)
+            cases.append({"T": T, "final_state": [float(v) for v in traj.states[-1]]})
 
     elif config.mode == "gaussian":
         if P.dim != 1:
@@ -147,30 +169,25 @@ def run(config: ExperimentConfig, *, keep_going: bool = False, threads: int = 1,
 
         def gaussian_case(T):
             gb = GaussianBridge(float(config.x[0]), float(config.y[0]), T)
-            cost = gaussian_cost(gb)
             exp = gamma_expansion(gb) if T >= 1 else None
-            t_probe = min(1.0, T / 2.0)
             return {
-                "cost": cost,
+                "T": T,
+                "cost": gaussian_cost(gb),
                 "excess": exp.excess if exp else float("nan"),
                 "energy": gaussian_energy(gb, T / 2.0),
-                "w2_heat_flow": heat_flow_distance(gb, t_probe),
+                "w2_heat_flow": heat_flow_distance(gb, min(1.0, T / 2.0)),
             }
 
         results, failures = _map_cases(gaussian_case, config.T_values, keep_going)
-        rows = [
-            [T, r["cost"], r["excess"], r["energy"], r["w2_heat_flow"]]
-            for T, r in sorted(results.items())
-        ]
-        _write_csv(
-            csv_dir / f"{config.name}_gaussian.csv",
-            ["T", "cost", "excess", "energy", "w2_heat_flow"],
-            rows,
-        )
-        for T, r in sorted(results.items()):
-            summary["cases"].append({"T": T, **r})
+        cases.extend(results.values())
+        _write_cases(csv_dir / f"{config.name}_gaussian.csv",
+                     ["T", "cost", "excess", "energy", "w2_heat_flow"], cases)
 
     elif config.mode == "verify":
+        # the unit-horizon cost depends on the config only: solve it once,
+        # after the first main solve, so a failing case fails as it always has
+        c1 = _once(lambda: unit_horizon_cost(P, config.x, config.y, config.solver))
+
         def verify_case(T):
             sol = solve_case(T)
             reports = verify_bounds(
@@ -179,6 +196,7 @@ def run(config: ExperimentConfig, *, keep_going: bool = False, threads: int = 1,
                 config.y,
                 T,
                 solution=sol,
+                c1=c1(),
                 t_values=[f * T for f in config.t_fractions],
                 theta_values=config.theta_values,
                 opts=config.solver,
@@ -186,60 +204,27 @@ def run(config: ExperimentConfig, *, keep_going: bool = False, threads: int = 1,
             return sol, reports
 
         results, failures = _map_cases(verify_case, config.T_values, keep_going)
-        rows = []
-        records = []
-        n_pass = n_fail = 0
-        for T in sorted(results):
-            sol, reports = results[T]
-            summary["cases"].append(_solution_diagnostics(T, sol))
-            for rep in reports:
-                ctx = rep.context
-                rows.append(
-                    [
-                        rep.bound_id,
-                        T,
-                        ctx.get("orientation", "forward"),
-                        ctx.get("t", ""),
-                        ctx.get("theta", ""),
-                        ctx.get("part", ctx.get("point", "")),
-                        rep.lhs,
-                        rep.rhs,
-                        rep.margin,
-                        rep.passed,
-                    ]
-                )
-                records.append(
-                    {
-                        "bound_id": rep.bound_id,
-                        "lhs": rep.lhs,
-                        "rhs": rep.rhs,
-                        "margin": rep.margin,
-                        "pass": bool(rep.passed),
-                        "context": ctx,
-                    }
-                )
-                n_pass += rep.passed
-                n_fail += not rep.passed
-        order = sorted(
-            range(len(rows)),
-            key=lambda i: (rows[i][1], rows[i][0], rows[i][2], str(rows[i][3]), str(rows[i][4]), str(rows[i][5])),
-        )
-        rows = [rows[i] for i in order]
-        _write_csv(
-            csv_dir / f"{config.name}_bounds.csv",
-            ["bound_id", "T", "orientation", "t", "theta", "part", "lhs", "rhs", "margin", "pass"],
-            rows,
-        )
+        pairs = sorted(((T, rep) for T, (_, reports) in results.items() for rep in reports),
+                       key=_bound_order)
+        cases.extend(_solution_diagnostics(T, sol) for T, (sol, _) in results.items())
+        _write_csv(csv_dir / f"{config.name}_bounds.csv", BOUND_COLUMNS,
+                   [_bound_row(T, rep) for T, rep in pairs])
+        n_pass = sum(rep.passed for _, rep in pairs)
         summary["bounds"] = {
-            "n_pass": int(n_pass),
-            "n_fail": int(n_fail),
-            "reports": [records[i] for i in order],
+            "n_pass": n_pass,
+            "n_fail": len(pairs) - n_pass,
+            "reports": [
+                {"bound_id": rep.bound_id, "lhs": rep.lhs, "rhs": rep.rhs, "margin": rep.margin,
+                 "pass": rep.passed, "context": rep.context}
+                for _, rep in pairs
+            ],
         }
 
     elif config.mode == "sweep":
         def sweep_case(T):
             sol = solve_case(T)
             row = {
+                "T": T,
                 "cost": sol.cost,
                 "energy_mean": sol.energy_mean,
                 "abs_energy": abs(sol.energy_mean),
@@ -254,20 +239,13 @@ def run(config: ExperimentConfig, *, keep_going: bool = False, threads: int = 1,
             return row
 
         results, failures = _map_cases(sweep_case, config.T_values, keep_going)
-        rows = []
-        for T in sorted(results):
-            r = results[T]
-            rows.append([T, r["cost"], r["energy_mean"], r["abs_energy"], r.get("dist_flow_t1", "")])
-        _write_csv(
-            csv_dir / f"{config.name}_sweep.csv",
-            ["T", "cost", "energy_mean", "abs_energy", "dist_flow_t1"],
-            rows,
-        )
+        cases.extend(results.values())
+        _write_cases(csv_dir / f"{config.name}_sweep.csv",
+                     ["T", "cost", "energy_mean", "abs_energy", "dist_flow_t1"], cases)
         fit_rows = []
-        Ts = sorted(results)
         for series, model in (("abs_energy", POWER_LAW), ("dist_flow_t1", POWER_LAW),
                               ("dist_flow_t1", EXPONENTIAL)):
-            pts = [(T, results[T].get(series)) for T in Ts if results[T].get(series)]
+            pts = [(case["T"], case[series]) for case in cases if case.get(series)]
             if len(pts) >= 2:
                 try:
                     fit = fit_rate([p[0] for p in pts], [p[1] for p in pts], model)
@@ -279,14 +257,12 @@ def run(config: ExperimentConfig, *, keep_going: bool = False, threads: int = 1,
             ["series", "model", "exponent", "prefactor", "residual"],
             fit_rows,
         )
-        for T in Ts:
-            summary["cases"].append({"T": T, **results[T]})
 
     else:  # pragma: no cover - parse_config already rejects unknown modes
         raise ConfigError(f"unhandled mode {config.mode}")
 
-    for T in sorted(failures):
-        summary["failures"].append({"T": T, "error": str(failures[T])})
+    for T, exc in sorted(failures.items()):
+        summary["failures"].append({"T": T, "error": str(exc)})
 
     json_path.parent.mkdir(parents=True, exist_ok=True)
     with open(json_path, "w", encoding="utf-8", newline="\n") as fh:

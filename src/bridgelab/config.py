@@ -13,7 +13,6 @@ from .errors import ConfigError
 from .potential import Potential, as_count, potential_from_config
 
 MODES = ("bridge", "flow", "gaussian", "verify", "sweep")
-METHODS = ("shooting", "action", "auto")
 
 
 @dataclass
@@ -90,12 +89,9 @@ def parse_config(data: dict, *, name_hint: str = "config") -> ExperimentConfig:
     solver_desc = data.get("solver", {})
     if not isinstance(solver_desc, dict):
         raise ConfigError("'solver' must be an object")
-    method = solver_desc.get("method", "auto")
-    if method not in METHODS:
-        raise ConfigError(f"solver.method must be one of {METHODS}, got {method!r}")
     try:
         solver = SolverOptions(
-            method=method,
+            method=solver_desc.get("method", "auto"),
             max_iter=as_count(solver_desc.get("max_iter", 100), "solver.max_iter"),
             tol_boundary=float(solver_desc.get("tol_boundary", 1e-9)),
             grid_points=(
@@ -105,12 +101,6 @@ def parse_config(data: dict, *, name_hint: str = "config") -> ExperimentConfig:
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad solver options: {exc}") from exc
-    if solver.grid_points is not None and solver.grid_points < 3:
-        raise ConfigError("solver.grid_points must be >= 3")
-    if solver.max_iter < 1:
-        raise ConfigError("solver.max_iter must be >= 1")
-    if not (np.isfinite(solver.tol_boundary) and solver.tol_boundary > 0):
-        raise ConfigError("solver.tol_boundary must be finite and positive")
 
     outputs = data.get("outputs", {})
     if not isinstance(outputs, dict):

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -53,9 +54,14 @@ class Trajectory:
     def n_nodes(self) -> int:
         return self.times.shape[0]
 
-    def spacing(self) -> float:
-        """Uniform grid step; raises NonUniformGrid when spacing varies."""
+    @cached_property
+    def _step(self) -> float:
         return uniform_step(self.times)
+
+    def spacing(self) -> float:
+        """Uniform grid step, resolved on the first call; raises NonUniformGrid
+        (on every call) when spacing varies."""
+        return self._step
 
     def nearest_index(self, t: float) -> int:
         """Index of the node nearest to time t, clamped to the grid."""

@@ -9,7 +9,7 @@ quadratic-distance formula takes square roots internally.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import OutOfRange
 
@@ -31,13 +31,12 @@ class GaussianBridge:
     x0: float
     x1: float
     T: float
-    dT2: float = None  # type: ignore[assignment]
+    dT2: float = field(init=False)  # D_T^2, derived from T
 
     def __post_init__(self):
         if not self.T > 0:
             raise ValueError("T must be positive")
-        if self.dT2 is None:
-            object.__setattr__(self, "dT2", fluct_param(self.T))
+        object.__setattr__(self, "dT2", fluct_param(self.T))
 
     @property
     def pool(self) -> float:

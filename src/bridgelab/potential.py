@@ -55,9 +55,10 @@ class Potential:
 
     ``value_fn``, ``grad_fn`` and ``force_fn`` (the force F''(x) F'(x)) are
     shape-agnostic: each takes a point (d,) or rows (m, d) and does no domain
-    check. Builtin constructors supply vectorised expressions; ``custom()``
-    wraps the user's pointwise functions and loops over the checked pointwise
-    methods for rows. ``hess_apply_fn(x, v)`` takes a point and a direction.
+    check. Builtin constructors supply one row expression each, which also
+    serves a point; ``custom()`` wraps the user's pointwise functions and
+    loops over the checked pointwise methods for rows. ``hess_apply_fn(x, v)``
+    takes a point and a direction.
     The pointwise methods check the point's shape and domain; the ``*_many``
     methods call the callables on the rows as they are.
 
@@ -103,8 +104,7 @@ class Potential:
             rho=1.0,
             n_dim=np.inf,
             domain=ALL_SPACE,
-            value_fn=_by_shape(lambda x: 0.5 * float(np.dot(x, x)),
-                               lambda X: 0.5 * np.sum(X * X, axis=1)),
+            value_fn=lambda X: 0.5 * np.sum(X * X, axis=-1),
             grad_fn=lambda X: X.copy(),
             hess_apply_fn=lambda x, v: v.copy(),
             force_fn=lambda X: X.copy(),
@@ -115,14 +115,18 @@ class Potential:
     def quadratic_matrix(cls, matrix) -> "Potential":
         """F(x) = x . A x / 2 for symmetric A; rho is the smallest eigenvalue.
 
-        A point and rows round differently (A(Ax) against (XA)A), so each
-        callable keeps its own expression for each shape.
+        A is symmetrised once, 0.5 (A + A^T), which leaves a symmetric A as
+        it is, so the row products X A and (X A) A are the gradient and the
+        force for rows and for a point alike. From dimension 4 on, BLAS may
+        multiply a point and a batch with different kernels, so the two can
+        differ in the last bit.
         """
         A = np.array(matrix, dtype=float)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError("matrix must be square")
         if not np.allclose(A, A.T, rtol=0.0, atol=1e-12 * (1.0 + np.abs(A).max())):
             raise ValueError("matrix must be symmetric")
+        A = 0.5 * (A + A.T)
         dim = A.shape[0]
         lam_min = float(np.linalg.eigvalsh(A)[0])
         minimizer = np.zeros(dim) if lam_min > 0 else None
@@ -132,11 +136,10 @@ class Potential:
             rho=lam_min,
             n_dim=np.inf,
             domain=ALL_SPACE,
-            value_fn=_by_shape(lambda x: 0.5 * float(x @ A @ x),
-                               lambda X: 0.5 * np.sum((X @ A) * X, axis=1)),
-            grad_fn=_by_shape(lambda x: A @ x, lambda X: X @ A),
+            value_fn=lambda X: 0.5 * np.sum((X @ A) * X, axis=-1),
+            grad_fn=lambda X: X @ A,
             hess_apply_fn=lambda x, v: A @ v,
-            force_fn=_by_shape(lambda x: A @ (A @ x), lambda X: (X @ A) @ A),
+            force_fn=lambda X: (X @ A) @ A,
             minimizer=minimizer,
         )
 

@@ -46,6 +46,19 @@ def test_quadratic_closed_form_bridge_values():
     assert closed_form_bridge(QUAD, [1.0], [1.0], 2.0, 1.0)[0] == pytest.approx(expected)
 
 
+@pytest.mark.parametrize("kind, x, y, T", [
+    (QUAD, [1.0, -0.5], [0.3, 2.0], 7.0),
+    (QUAD, [0.4], [1.3], 0.5),
+    (NEGLOG, [1.3], [1.3], 12.0),
+    (NEGLOG, [0.2], [0.2], 3.0),
+])
+def test_closed_form_point_is_the_trajectory_node(kind, x, y, T):
+    # one time and a grid of times go through the same numpy expression
+    traj = closed_form_bridge_trajectory(kind, x, y, T, 997)
+    points = np.array([closed_form_bridge(kind, x, y, T, t) for t in traj.times])
+    assert np.array_equal(points, traj.states)
+
+
 def test_neglog_energy_root_of_its_quadratic():
     # conservation forces (T^2/4) E^2 - x^2 E - 1 = 0 with E < 0
     for T in (2.0, 5.0, 10.0, 50.0):
@@ -215,6 +228,16 @@ def test_auto_falls_back_to_action_when_long_horizon_shooting_fails():
     assert (sol.cost, sol.energy_mean, sol.iterations) == (act.cost, act.energy_mean, act.iterations)
 
 
+@pytest.mark.parametrize("options", [
+    {"method": "newton"}, {"max_iter": 0}, {"tol_boundary": 0.0}, {"tol_boundary": -1e-9},
+    {"tol_boundary": float("nan")}, {"tol_boundary": float("inf")}, {"grid_points": 2},
+], ids=["method", "max_iter_zero", "tol_zero", "tol_negative", "tol_nan", "tol_inf",
+        "grid_points_small"])
+def test_solver_options_reject_out_of_range_values(options):
+    with pytest.raises(ValueError):
+        SolverOptions(**options)
+
+
 def test_shooting_no_convergence_budget():
     P = Potential.neg_log(1)
     with pytest.raises(NoConvergence):
@@ -284,7 +307,7 @@ def test_multiple_shooting_segments_meet_within_the_boundary_tolerance(P, x, y, 
     # stored nodes up to the next start and misses that start by at most tol
     ends = list(starts[1:]) + [steps]
     for s, e in zip(starts, ends):
-        alone = bridge_module._integrate_phase(P, phase[s], k * T / steps, k)
+        alone = bridge_module._integrate_phase(P, phase[s:s + 1], k * T / steps, k)[:, 0]
         np.testing.assert_allclose(alone[:e - s], phase[s:e], rtol=0, atol=1e-15)
         assert np.max(np.abs(alone[e - s] - phase[e])) <= opts.tol_boundary
     assert np.max(np.abs(traj.states[-1] - y)) <= opts.tol_boundary

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import bridgelab.bounds as bounds_module
 from bridgelab import OffGrid, Potential, SolverOptions, gradient_flow, solve_bridge
 from bridgelab.cli import main
 from bridgelab.config import builtin_config_names, load_builtin_config, resolve_config
@@ -124,6 +125,29 @@ def test_verify_mode_reports_all_pass(tmp_path):
     assert all(line.rsplit(",", 1)[1] == "true" for line in lines[1:])
     summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
     assert summary["bounds"]["n_fail"] == 0
+
+
+def test_verify_mode_solves_the_unit_horizon_cost_once(tmp_path, monkeypatch):
+    horizons = []
+
+    def counting_solve(P, x, y, T, opts=None):
+        horizons.append(T)
+        return solve_bridge(P, x, y, T, opts)
+
+    monkeypatch.setattr(bounds_module, "solve_bridge", counting_solve)
+    cfg = write_config(
+        tmp_path,
+        {
+            **BASE,
+            "mode": "verify",
+            "potential": {"kind": "neg_log", "dim": 1},
+            "endpoints": {"x": [1.0], "y": [1.5]},
+            "T_values": [2.0, 3.0],
+            "solver": {"method": "shooting", "grid_points": 401},
+        },
+    )
+    assert main(["run", str(cfg), "--out-dir", str(tmp_path / "results")]) == 0
+    assert horizons == [1.0]
 
 
 def test_gaussian_mode_table(tmp_path):

@@ -1,9 +1,10 @@
 """Two-point boundary-value solvers for the Newton system x'' = F''(x) F'(x).
 
-Two independent routes produce the same interpolation: multiple shooting
-(damped Newton on the initial states of the segments of a phase-space RK4
-integration) and direct minimization of the discretized action. Closed
-forms for the two solvable builtin potentials serve as oracles.
+Two independent routes produce the same interpolation, each by one damped
+Newton loop: multiple shooting (on the initial states of the segments of a
+phase-space RK4 integration) and the discrete Euler-Lagrange equations of
+the discretized action. Closed forms for the two solvable builtin
+potentials serve as oracles.
 """
 from __future__ import annotations
 
@@ -15,7 +16,6 @@ import numpy as np
 from ._integrate import integrate_grid
 from .errors import (
     DomainEscape,
-    MaxIterations,
     NoConvergence,
     NonFinite,
     UnsupportedEndpoints,
@@ -106,6 +106,47 @@ def _finish_solution(traj, P, solver, boundary_error, iterations, **context) -> 
     )
 
 
+def _damped_newton(evaluate, newton_step, u, tol, max_iter):
+    """Damped Newton iteration from u, shared by both solver routes.
+
+    ``evaluate(u)`` returns ``(error, data)``: the sup-norm error of u,
+    infinite where u is unusable, and whatever ``newton_step(u, data)``
+    needs to return a step (or None when it cannot). Each step is halved
+    (up to 30 times) until the error decreases; the iteration ends once the
+    error is below ``tol``, when no step is available, after two stalled
+    steps, or after ``max_iter`` iterations. Returns ``(u, error, data,
+    iterations)``; ``iterations`` counts every pass including the one that
+    met ``tol``, and is 0 exactly when the start itself is unusable.
+    """
+    err, data = evaluate(u)
+    if not np.isfinite(err):
+        return u, err, data, 0
+    iterations = stall = 0
+    for _ in range(max_iter):
+        iterations += 1
+        if err < tol:
+            break
+        step = newton_step(u, data)
+        if step is None:
+            break
+        lam, improved = 1.0, False
+        for _ in range(30):
+            err_new, data_new = evaluate(u + lam * step)
+            if err_new < err:
+                u = u + lam * step
+                err, data = err_new, data_new
+                improved = True
+                break
+            lam *= 0.5
+        if not improved:
+            stall += 1
+            if stall >= 2:
+                break
+        else:
+            stall = 0
+    return u, err, data, iterations
+
+
 # -- shooting -----------------------------------------------------------------
 
 
@@ -169,12 +210,11 @@ def solve_bridge_shooting(P: Potential, x, y, T: float, opts: SolverOptions | No
     the reversed flow from y with velocity +F'; both flows run as one batch
     on the solve's grid.
 
-    The Jacobian uses forward differences, with step 1e-6*(1+|s|) for a
-    segment's unknowns s, all integrated as one batch, and only at an
-    iterate that misses the tolerance. Newton steps are halved (up to 30
-    times) until the sup-norm error decreases; a start is abandoned after
-    two stalled steps. ``context["restarts"]`` is the index of the start
-    that converged and ``context["segments"]`` is M.
+    Each start runs ``_damped_newton``. The Jacobian uses forward
+    differences, with step 1e-6*(1+|s|) for a segment's unknowns s, all
+    integrated as one batch, and only at an iterate that misses the
+    tolerance. ``context["restarts"]`` is the index of the start that
+    converged and ``context["segments"]`` is M.
     """
     opts = opts or SolverOptions()
     x = P.check_domain(x)
@@ -201,17 +241,18 @@ def solve_bridge_shooting(P: Potential, x, y, T: float, opts: SolverOptions | No
         return np.concatenate([Z[1:].ravel(), y])
 
     def landing_error(u):
-        """Sup-norm error, (k + 1, M, 2d) segment paths and residuals of u."""
+        """Sup-norm error of u, with its (k + 1, M, 2d) segment paths and residuals."""
         Z = initial_states(u)
         try:
             paths = _integrate_phase(P, Z, span, k)
         except (DomainEscape, NonFinite):
-            return np.inf, None, None
+            return np.inf, None
         r = paths[meet, np.arange(M)].ravel()[:n] - targets(Z)
-        return float(np.max(np.abs(r))), paths, r
+        return float(np.max(np.abs(r))), (paths, r)
 
-    def jacobian(u, r):
-        """Forward-difference Jacobian of the residuals, or None on an escape."""
+    def newton_step(u, data):
+        """Newton step through the forward-difference Jacobian, or None on an escape."""
+        r = data[1]
         Z = initial_states(u)
         scale = np.linalg.norm(Z, axis=1)
         scale[0] = np.linalg.norm(Z[0, d:])
@@ -230,7 +271,12 @@ def solve_bridge_shooting(P: Potential, x, y, T: float, opts: SolverOptions | No
         for p, j in enumerate(seg):
             lo, hi = 2 * d * j, min(2 * d * (j + 1), n)
             J[lo:hi, p] = (end[p, :hi - lo] - base[lo:hi]) / fd[p]
-        return J
+        if not np.all(np.isfinite(J)):
+            return None
+        try:
+            return np.linalg.solve(J, -r)
+        except np.linalg.LinAlgError:
+            return np.linalg.lstsq(J, -r, rcond=None)[0]
 
     # starting guesses, each built only when the one before it has failed
     if M == 1:
@@ -239,41 +285,12 @@ def solve_bridge_shooting(P: Potential, x, y, T: float, opts: SolverOptions | No
     else:
         guesses = (lambda: _turnpike_seed(P, x, y, T, steps, starts),)
     total_iters = 0
-    landed = False
     for attempt, guess in enumerate(guesses):
-        u = guess()
-        err, paths, r = landing_error(u)
-        if not np.isfinite(err):
-            continue
-        landed = True
-        stall = 0
-        for _ in range(opts.max_iter):
-            total_iters += 1
-            if err < opts.tol_boundary:
-                break
-            J = jacobian(u, r)
-            if J is None or not np.all(np.isfinite(J)):
-                break
-            try:
-                step = np.linalg.solve(J, -r)
-            except np.linalg.LinAlgError:
-                step, *_ = np.linalg.lstsq(J, -r, rcond=None)
-            lam, improved = 1.0, False
-            for _ in range(30):
-                err_new, paths_new, r_new = landing_error(u + lam * step)
-                if err_new < err:
-                    u = u + lam * step
-                    err, paths, r = err_new, paths_new, r_new
-                    improved = True
-                    break
-                lam *= 0.5
-            if not improved:
-                stall += 1
-                if stall >= 2:
-                    break
-            else:
-                stall = 0
+        _, err, data, iterations = _damped_newton(landing_error, newton_step, guess(),
+                                                  opts.tol_boundary, opts.max_iter)
+        total_iters += iterations
         if err < opts.tol_boundary:
+            paths = data[0]
             path = np.empty((steps + 1, 2 * d))
             # a later segment overwrites its neighbour from their junction on
             for j, s in enumerate(starts):
@@ -281,7 +298,8 @@ def solve_bridge_shooting(P: Potential, x, y, T: float, opts: SolverOptions | No
             traj = Trajectory(np.linspace(0.0, T, steps + 1), path[:, :d], path[:, d:])
             return _finish_solution(traj, P, "shooting", err, total_iters,
                                     restarts=attempt, segments=M)
-    if not landed:
+    # a start that leaves the domain runs no iteration
+    if not total_iters:
         raise DomainEscape("every trial trajectory left the domain")
     raise NoConvergence(
         f"shooting did not reach the boundary tolerance after {total_iters} iterations"
@@ -303,7 +321,7 @@ def _turnpike_seed(P: Potential, x, y, T: float, steps: int, starts) -> np.ndarr
     return np.concatenate(Z)[P.dim:]
 
 
-# -- direct action minimization -------------------------------------------------
+# -- stationary discrete action ------------------------------------------------
 
 
 def _velocity_matrix_apply(path: np.ndarray, h: float) -> np.ndarray:
@@ -316,18 +334,24 @@ def _velocity_matrix_apply(path: np.ndarray, h: float) -> np.ndarray:
 
 
 def solve_bridge_action(P: Potential, x, y, T: float, opts: SolverOptions | None = None) -> BridgeSolution:
-    """Minimize the discretized action over interior nodes (endpoints pinned).
+    """Find the stationary point of the discretized action (endpoints pinned).
 
     The kinetic term is integrated with interval-midpoint speeds
     sum |p_{i+1} - p_i|^2 / h (node-centered differences leave a parity
     null mode that pollutes the minimizer with checkerboard offsets); the
-    potential term is the trapezoidal rule at the nodes. Limited-memory
-    quasi-Newton descent with Armijo backtracking (sufficient-decrease 1e-4,
-    shrink 0.5); terminates when the gradient sup-norm drops below 1e-8 or
-    after 1e5 iterations (MaxIterations). The returned trajectory carries
-    velocities from centered differences on interior nodes (second-order
-    one-sided at the ends), and its cost is the same trapezoidal quadrature
-    used everywhere else.
+    potential term is the trapezoidal rule at the nodes. The action is
+    stationary where the interior nodes solve the discrete Euler-Lagrange
+    equations r_i = p_{i+1} - 2 p_i + p_{i-1} - h^2 F''F'(p_i) = 0, whose
+    residual is h^2/2 times the action gradient. ``_damped_newton`` solves
+    them from the straight line, with diagonal Jacobian blocks
+    -2 I - h^2 d(F''F')/dp taken by forward differences (step
+    1e-7*(1+|p|)) and off-diagonal identity blocks, until the action
+    gradient's sup-norm (2/h) max |r| is below ACTION_GTOL; otherwise it
+    raises NoConvergence with the gradient it stopped at. ``opts.max_iter``
+    does not apply: the route runs at most ACTION_MAX_ITER Newton steps.
+    The returned trajectory carries velocities from centered differences on
+    interior nodes (second-order one-sided at the ends), and its cost is the
+    same trapezoidal quadrature used everywhere else.
     """
     opts = opts or SolverOptions()
     x = P.check_domain(x)
@@ -337,13 +361,7 @@ def solve_bridge_action(P: Potential, x, y, T: float, opts: SolverOptions | None
     n_nodes = opts.nodes(T)
     d = P.dim
     h = T / (n_nodes - 1)
-    w = np.full(n_nodes, h)
-    w[0] = w[-1] = 0.5 * h
-
-    path0 = np.linspace(0.0, 1.0, n_nodes)[:, None] * (y - x)[None, :] + x[None, :]
-    if P.domain != ALL_SPACE:
-        path0 = np.maximum(path0, 1e-6)
-        path0[0], path0[-1] = x, y
+    straight = np.linspace(0.0, 1.0, n_nodes)[:, None] * (y - x)[None, :] + x[None, :]
 
     def assemble(interior):
         path = np.empty((n_nodes, d))
@@ -352,106 +370,71 @@ def solve_bridge_action(P: Potential, x, y, T: float, opts: SolverOptions | None
         path[1:-1] = interior.reshape(n_nodes - 2, d)
         return path
 
-    def fun_grad(z):
+    def equations(z):
+        """Action-gradient sup-norm of z, with the force and residuals at its nodes."""
         path = assemble(z)
-        if P.domain != ALL_SPACE and not np.all(path > 0.0):
+        if not P.in_domain(path):
             return np.inf, None
-        diffs = np.diff(path, axis=0)
-        grads = P.grad_many(path)
-        J = float(np.sum(diffs * diffs) / h + w @ np.sum(grads * grads, axis=1))
-        dJ = np.zeros_like(path)
-        dJ[:-1] -= (2.0 / h) * diffs
-        dJ[1:] += (2.0 / h) * diffs
-        dJ += 2.0 * w[:, None] * P.hess_grad_many(path)
-        return J, dJ[1:-1].ravel()
+        force = P.hess_grad_many(path[1:-1])
+        r = path[2:] - 2.0 * path[1:-1] + path[:-2] - h * h * force
+        return (2.0 / h) * float(np.max(np.abs(r))), (force, r)
 
-    z, iterations = _lbfgs(fun_grad, path0[1:-1].ravel())
+    def newton_step(z, data):
+        """Newton step by block elimination, or None when it breaks down."""
+        force, r = data
+        inner = z.reshape(n_nodes - 2, d)
+        fd = 1e-7 * (1.0 + np.linalg.norm(inner, axis=1))
+        dforce = np.empty((n_nodes - 2, d, d))
+        for k in range(d):
+            shifted = inner.copy()
+            shifted[:, k] += fd
+            dforce[:, :, k] = (P.hess_grad_many(shifted) - force) / fd[:, None]
+        step = _block_tridiagonal_solve(-2.0 * np.eye(d) - h * h * dforce, -r)
+        return None if step is None else step.ravel()
+
+    z, err, _, iterations = _damped_newton(equations, newton_step, straight[1:-1].ravel(),
+                                           ACTION_GTOL, ACTION_MAX_ITER)
+    if not err < ACTION_GTOL:
+        raise NoConvergence(
+            f"action route stopped at gradient sup-norm {err:.3g} after {iterations} "
+            f"Newton iterations (target {ACTION_GTOL:g})"
+        )
     path = assemble(z)
     traj = Trajectory(np.linspace(0.0, T, n_nodes), path, _velocity_matrix_apply(path, h))
     return _finish_solution(traj, P, "action", 0.0, iterations, grid_points=n_nodes)
 
 
-#: Action descent stops once the gradient sup-norm is below ACTION_GTOL and
-#: raises MaxIterations after ACTION_MAX_ITER iterations.
+#: The action route stops once the action gradient's sup-norm is below
+#: ACTION_GTOL and raises NoConvergence after ACTION_MAX_ITER Newton steps.
 ACTION_GTOL = 1e-8
-ACTION_MAX_ITER = 100000
+ACTION_MAX_ITER = 100
 
 
-def _lbfgs(fun_grad, z0, memory=12):
-    """Two-loop L-BFGS with Armijo backtracking.
-
-    Exits on the gradient sup-norm test, or once descent stalls at the
-    double-precision floor while the gradient sits within three decades of
-    the target (the discretization error dominates long before that point).
-    """
-    z = z0.copy()
-    f, g = fun_grad(z)
-    if g is None:
-        raise DomainEscape("initial action path is infeasible")
-    s_hist, y_hist, rho_hist = [], [], []
-    flats = 0
-    for it in range(ACTION_MAX_ITER):
-        gsup = float(np.max(np.abs(g)))
-        if gsup < ACTION_GTOL:
-            return z, it
-        # two-loop recursion
-        q = g.copy()
-        alphas = []
-        for s, yv, r in zip(reversed(s_hist), reversed(y_hist), reversed(rho_hist)):
-            a = r * float(s @ q)
-            alphas.append(a)
-            q -= a * yv
-        if y_hist:
-            gamma = float(s_hist[-1] @ y_hist[-1]) / float(y_hist[-1] @ y_hist[-1])
-            q *= gamma
-        for (s, yv, r), a in zip(zip(s_hist, y_hist, rho_hist), reversed(alphas)):
-            b = r * float(yv @ q)
-            q += (a - b) * s
-        direction = -q
-        slope = float(g @ direction)
-        if slope >= 0.0:
-            direction = -g
-            slope = -float(g @ g)
-        t = 1.0
-        accepted = False
-        for _ in range(60):
-            f_new, g_new = fun_grad(z + t * direction)
-            if g_new is not None and f_new <= f + 1e-4 * t * slope:
-                accepted = True
-                break
-            t *= 0.5
-        stalled = (not accepted) or (f - f_new <= 8.0 * np.finfo(float).eps * max(abs(f), 1.0))
-        if stalled:
-            flats += 1
-            if flats >= 5:
-                if gsup <= 1e3 * ACTION_GTOL:
-                    return z, it
-                raise MaxIterations("action descent stalled before the gradient test")
-            if not accepted:
-                continue
-        else:
-            flats = 0
-        z_new = z + t * direction
-        s = z_new - z
-        yv = g_new - g
-        sy = float(s @ yv)
-        if sy > 1e-12 * float(yv @ yv):
-            s_hist.append(s)
-            y_hist.append(yv)
-            rho_hist.append(1.0 / sy)
-            if len(s_hist) > memory:
-                s_hist.pop(0)
-                y_hist.pop(0)
-                rho_hist.pop(0)
-        z, f, g = z_new, f_new, g_new
-    raise MaxIterations("action minimizer hit its iteration cap")
+def _block_tridiagonal_solve(D, b):
+    """Solve s_{i-1} + D_i s_i + s_{i+1} = b_i for i < n, with s_{-1} = s_n = 0,
+    by block elimination; D is (n, d, d) and b is (n, d). None when a pivot
+    block is singular or the solution is not finite."""
+    n, d = b.shape
+    # row n stays zero, so row i - 1 = -1 reads the boundary at i = 0
+    C = np.zeros((n + 1, d, d))
+    g = np.zeros((n + 1, d))
+    try:
+        for i in range(n):
+            pivot = np.linalg.solve(D[i] - C[i - 1], np.column_stack([np.eye(d), b[i] - g[i - 1]]))
+            C[i], g[i] = pivot[:, :d], pivot[:, d]
+    except np.linalg.LinAlgError:
+        return None
+    s = np.zeros((n + 1, d))
+    for i in range(n - 1, -1, -1):
+        s[i] = g[i] - C[i] @ s[i + 1]
+    return s[:n] if np.all(np.isfinite(s)) else None
 
 
 def solve_bridge(P: Potential, x, y, T: float, opts: SolverOptions | None = None) -> BridgeSolution:
     """Dispatch on opts.method.
 
-    ``auto`` tries shooting at every horizon and falls back to action
-    minimization only when shooting raises NoConvergence, DomainEscape or
+    ``auto`` tries shooting at every horizon and falls back to the action
+    route only when shooting raises NoConvergence, DomainEscape or
     NonFinite.
     """
     opts = opts or SolverOptions()

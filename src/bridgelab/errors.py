@@ -26,11 +26,7 @@ class UnsupportedEndpoints(BridgeLabError):
 
 
 class NoConvergence(BridgeLabError):
-    """An iterative solver exhausted its iteration budget."""
-
-
-class MaxIterations(BridgeLabError):
-    """The action minimizer hit its iteration cap before the gradient test."""
+    """An iterative solver stopped before it met its tolerance."""
 
 
 class NonUniformGrid(BridgeLabError):

@@ -352,6 +352,61 @@ def test_auto_falls_back_to_action():
     assert sol.energy_maxdev <= 1e-3 * (1.0 + abs(sol.energy_mean))
 
 
+def test_action_route_solves_its_discrete_equations():
+    # for a quadratic the discrete Euler-Lagrange equations
+    # p_{i+1} - 2 p_i + p_{i-1} = h^2 A^2 p_i are linear: solve them densely
+    A = np.array([[2.0, 0.5], [0.5, 1.0]])
+    x, y, T, nodes = np.array([1.0, -1.0]), np.array([0.5, 2.0]), 2.0, 201
+    sol = solve_bridge_action(Potential.quadratic_matrix(A), x, y, T, SolverOptions(grid_points=nodes))
+    n, h = nodes - 2, T / (nodes - 1)
+    second_difference = np.diag(np.full(n, -2.0)) + np.eye(n, k=1) + np.eye(n, k=-1)
+    K = np.kron(second_difference, np.eye(2)) - h * h * np.kron(np.eye(n), A @ A)
+    rhs = np.zeros((n, 2))
+    rhs[0], rhs[-1] = -x, -y
+    exact = np.linalg.solve(K, rhs.ravel()).reshape(n, 2)
+    assert np.max(np.abs(sol.trajectory.states[1:-1] - exact)) <= 1e-9
+
+
+def test_action_route_fails_promptly_on_finite_difference_potential():
+    # finite-difference derivatives leave the force too noisy for the
+    # Jacobian's forward differences; the route says where it stopped
+    P = Potential.custom(2, lambda x: float(np.sum(np.log(np.cosh(x))) + 0.5 * x @ x))
+    with pytest.raises(NoConvergence, match="gradient sup-norm"):
+        solve_bridge_action(P, [1.0, -0.5], [0.2, 0.7], 1.0, SolverOptions(grid_points=101))
+
+
+def _log_sum_exp_potential():
+    def softmax(x):
+        e = np.exp(x - np.max(x))
+        return e / np.sum(e)
+
+    def value(x):
+        m = float(np.max(x))
+        return m + math.log(float(np.sum(np.exp(x - m)))) + 0.5 * float(x @ x)
+
+    def hess_apply(x, v):
+        p = softmax(x)
+        return p * v - p * float(p @ v) + v
+
+    return Potential.custom(3, value, lambda x: softmax(x) + x, hess_apply, rho=1.0)
+
+
+@pytest.mark.parametrize("P, x, y, T", [
+    (_log_sum_exp_potential(), [0.5, -1.0, 1.2], [-0.8, 0.3, 1.0], 3.0),
+    (Potential.custom(2, lambda x: float(np.sum(0.25 * x**4 + 0.5 * x**2)), lambda x: x**3 + x,
+                      lambda x, v: (3.0 * x**2 + 1.0) * v, rho=1.0),
+     [1.0, -0.5], [0.2, 0.7], 0.5),
+    (Potential.custom(2, lambda x: float(np.sum(np.cosh(x))), np.sinh,
+                      lambda x, v: np.cosh(x) * v, rho=1.0),
+     [0.8, -0.6], [-0.4, 0.9], 1.0),
+], ids=["log_sum_exp_3d", "quartic_2d", "cosh_2d"])
+def test_action_route_agrees_with_shooting_on_custom_potentials(P, x, y, T):
+    shoot = solve_bridge_shooting(P, x, y, T)
+    act = solve_bridge_action(P, x, y, T)
+    assert act.cost == pytest.approx(shoot.cost, rel=1e-4)
+    assert np.max(np.abs(act.trajectory.states - shoot.trajectory.states)) <= 1e-5
+
+
 # -- residual diagnostics ------------------------------------------------------
 
 

@@ -1,5 +1,7 @@
-"""Fixed-step classical Runge-Kutta on batches of states, with a domain guard
-on every state the right-hand side sees."""
+"""The numerical kernels: fixed-step classical Runge-Kutta on batches of
+states, with a domain guard on every state the right-hand side sees, and
+the one damped Newton loop that every nonlinear solve runs (shooting, the
+action route and a custom potential's minimizer search)."""
 from __future__ import annotations
 
 from typing import Callable, Optional
@@ -54,3 +56,52 @@ def integrate_grid(
             raise NonFinite("state overflowed during integration")
         out[i] = inside(z)
     return out
+
+
+#: Every damped Newton loop stops after at most NEWTON_MAX_ITER iterations.
+NEWTON_MAX_ITER = 100
+
+
+def _damped_newton(evaluate, newton_step, u, tol):
+    """Damped Newton iteration from u, the package's only nonlinear iteration.
+
+    ``evaluate(u)`` returns ``(error, data)``: the sup-norm error of u,
+    infinite where u is unusable, and whatever ``newton_step(u, data)``
+    needs to return a step. A step of None, or a LinAlgError from a
+    singular system, means no step is available. Each step is halved (up
+    to 30 times) until the error decreases; the iteration ends once the
+    error is below ``tol``, when no step is available, after two stalled
+    steps, or after NEWTON_MAX_ITER iterations. Returns ``(u, error, data,
+    iterations)``; ``iterations`` counts every pass including the one that
+    met ``tol``, and is 0 exactly when the start itself is unusable.
+    """
+    err, data = evaluate(u)
+    if not np.isfinite(err):
+        return u, err, data, 0
+    iterations = stall = 0
+    for _ in range(NEWTON_MAX_ITER):
+        iterations += 1
+        if err < tol:
+            break
+        try:
+            step = newton_step(u, data)
+        except np.linalg.LinAlgError:
+            break
+        if step is None:
+            break
+        lam, improved = 1.0, False
+        for _ in range(30):
+            err_new, data_new = evaluate(u + lam * step)
+            if err_new < err:
+                u = u + lam * step
+                err, data = err_new, data_new
+                improved = True
+                break
+            lam *= 0.5
+        if not improved:
+            stall += 1
+            if stall >= 2:
+                break
+        else:
+            stall = 0
+    return u, err, data, iterations

@@ -167,12 +167,12 @@ def _verify_one_orientation(P, x, y, T, sol, flow, c1, t_values, theta_values, o
             reports.append(
                 _report("B1", C, c1 + 2.0 * n * math.log(T), part="cost", c1=c1, **base)
             )
-        log_budget = 2.0 * Fy - 2.0 * Fx + (c1 if c1 is not None else 0.0) + 2.0 * n * math.log(max(T, 1.0))
-        for idx, tt in nodes:
-            if c1 is not None and T >= 1.0 and tt < T:
-                reports.append(
-                    _report("B2", phi_sq(idx), log_budget / (T - tt), t=tt, c1=c1, **base)
-                )
+            log_budget = 2.0 * Fy - 2.0 * Fx + c1 + 2.0 * n * math.log(T)
+            for idx, tt in nodes:
+                if tt < T:
+                    reports.append(
+                        _report("B2", phi_sq(idx), log_budget / (T - tt), t=tt, c1=c1, **base)
+                    )
         for theta in theta_values:
             idx = traj.nearest_index(theta * T)
             g = P.grad(traj.states[idx])

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._integrate import integrate_grid
+from ._integrate import _damped_newton, integrate_grid
 from .errors import (
     DomainEscape,
     NoConvergence,
@@ -36,20 +36,17 @@ class SolverOptions:
     ``grid_points`` is the number of nodes of the returned trajectory, at
     least 3 (default ``default_steps(T) + 1``); ``method`` is one of
     ``shooting``, ``action`` or ``auto`` (shooting first, action on
-    failure); ``max_iter`` is at least 1 and ``tol_boundary`` is finite and
-    positive. A value out of range is a ValueError.
+    failure); ``tol_boundary`` is finite and positive. A value out of range
+    is a ValueError. The iteration budget is the Newton loop's own.
     """
 
     method: str = "auto"
-    max_iter: int = 100
     tol_boundary: float = 1e-9
     grid_points: int | None = None
 
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
         if not 0.0 < self.tol_boundary < math.inf:
             raise ValueError("tol_boundary must be finite and positive")
         if self.grid_points is not None and self.grid_points < 3:
@@ -104,47 +101,6 @@ def _finish_solution(traj, P, solver, boundary_error, iterations, **context) -> 
         iterations=int(iterations),
         context=context,
     )
-
-
-def _damped_newton(evaluate, newton_step, u, tol, max_iter):
-    """Damped Newton iteration from u, shared by both solver routes.
-
-    ``evaluate(u)`` returns ``(error, data)``: the sup-norm error of u,
-    infinite where u is unusable, and whatever ``newton_step(u, data)``
-    needs to return a step (or None when it cannot). Each step is halved
-    (up to 30 times) until the error decreases; the iteration ends once the
-    error is below ``tol``, when no step is available, after two stalled
-    steps, or after ``max_iter`` iterations. Returns ``(u, error, data,
-    iterations)``; ``iterations`` counts every pass including the one that
-    met ``tol``, and is 0 exactly when the start itself is unusable.
-    """
-    err, data = evaluate(u)
-    if not np.isfinite(err):
-        return u, err, data, 0
-    iterations = stall = 0
-    for _ in range(max_iter):
-        iterations += 1
-        if err < tol:
-            break
-        step = newton_step(u, data)
-        if step is None:
-            break
-        lam, improved = 1.0, False
-        for _ in range(30):
-            err_new, data_new = evaluate(u + lam * step)
-            if err_new < err:
-                u = u + lam * step
-                err, data = err_new, data_new
-                improved = True
-                break
-            lam *= 0.5
-        if not improved:
-            stall += 1
-            if stall >= 2:
-                break
-        else:
-            stall = 0
-    return u, err, data, iterations
 
 
 # -- shooting -----------------------------------------------------------------
@@ -273,10 +229,7 @@ def solve_bridge_shooting(P: Potential, x, y, T: float, opts: SolverOptions | No
             J[lo:hi, p] = (end[p, :hi - lo] - base[lo:hi]) / fd[p]
         if not np.all(np.isfinite(J)):
             return None
-        try:
-            return np.linalg.solve(J, -r)
-        except np.linalg.LinAlgError:
-            return np.linalg.lstsq(J, -r, rcond=None)[0]
+        return np.linalg.solve(J, -r)
 
     # starting guesses, each built only when the one before it has failed
     if M == 1:
@@ -287,7 +240,7 @@ def solve_bridge_shooting(P: Potential, x, y, T: float, opts: SolverOptions | No
     total_iters = 0
     for attempt, guess in enumerate(guesses):
         _, err, data, iterations = _damped_newton(landing_error, newton_step, guess(),
-                                                  opts.tol_boundary, opts.max_iter)
+                                                  opts.tol_boundary)
         total_iters += iterations
         if err < opts.tol_boundary:
             paths = data[0]
@@ -347,8 +300,8 @@ def solve_bridge_action(P: Potential, x, y, T: float, opts: SolverOptions | None
     -2 I - h^2 d(F''F')/dp taken by forward differences (step
     1e-7*(1+|p|)) and off-diagonal identity blocks, until the action
     gradient's sup-norm (2/h) max |r| is below ACTION_GTOL; otherwise it
-    raises NoConvergence with the gradient it stopped at. ``opts.max_iter``
-    does not apply: the route runs at most ACTION_MAX_ITER Newton steps.
+    raises NoConvergence with the gradient it stopped at. The loop's budget
+    is the shared ``_integrate.NEWTON_MAX_ITER``.
     The returned trajectory carries velocities from centered differences on
     interior nodes (second-order one-sided at the ends), and its cost is the
     same trapezoidal quadrature used everywhere else.
@@ -393,7 +346,7 @@ def solve_bridge_action(P: Potential, x, y, T: float, opts: SolverOptions | None
         return None if step is None else step.ravel()
 
     z, err, _, iterations = _damped_newton(equations, newton_step, straight[1:-1].ravel(),
-                                           ACTION_GTOL, ACTION_MAX_ITER)
+                                           ACTION_GTOL)
     if not err < ACTION_GTOL:
         raise NoConvergence(
             f"action route stopped at gradient sup-norm {err:.3g} after {iterations} "
@@ -404,26 +357,21 @@ def solve_bridge_action(P: Potential, x, y, T: float, opts: SolverOptions | None
     return _finish_solution(traj, P, "action", 0.0, iterations, grid_points=n_nodes)
 
 
-#: The action route stops once the action gradient's sup-norm is below
-#: ACTION_GTOL and raises NoConvergence after ACTION_MAX_ITER Newton steps.
+#: The action route stops once the action gradient's sup-norm is below ACTION_GTOL.
 ACTION_GTOL = 1e-8
-ACTION_MAX_ITER = 100
 
 
 def _block_tridiagonal_solve(D, b):
     """Solve s_{i-1} + D_i s_i + s_{i+1} = b_i for i < n, with s_{-1} = s_n = 0,
-    by block elimination; D is (n, d, d) and b is (n, d). None when a pivot
-    block is singular or the solution is not finite."""
+    by block elimination; D is (n, d, d) and b is (n, d). A singular pivot
+    block raises LinAlgError; a solution that is not finite is None."""
     n, d = b.shape
     # row n stays zero, so row i - 1 = -1 reads the boundary at i = 0
     C = np.zeros((n + 1, d, d))
     g = np.zeros((n + 1, d))
-    try:
-        for i in range(n):
-            pivot = np.linalg.solve(D[i] - C[i - 1], np.column_stack([np.eye(d), b[i] - g[i - 1]]))
-            C[i], g[i] = pivot[:, :d], pivot[:, d]
-    except np.linalg.LinAlgError:
-        return None
+    for i in range(n):
+        pivot = np.linalg.solve(D[i] - C[i - 1], np.column_stack([np.eye(d), b[i] - g[i - 1]]))
+        C[i], g[i] = pivot[:, :d], pivot[:, d]
     s = np.zeros((n + 1, d))
     for i in range(n - 1, -1, -1):
         s[i] = g[i] - C[i] @ s[i + 1]

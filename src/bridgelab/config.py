@@ -92,7 +92,6 @@ def parse_config(data: dict, *, name_hint: str = "config") -> ExperimentConfig:
     try:
         solver = SolverOptions(
             method=solver_desc.get("method", "auto"),
-            max_iter=as_count(solver_desc.get("max_iter", 100), "solver.max_iter"),
             tol_boundary=float(solver_desc.get("tol_boundary", 1e-9)),
             grid_points=(
                 as_count(solver_desc["grid_points"], "solver.grid_points")

@@ -11,6 +11,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from ._integrate import _damped_newton
 from .errors import DomainError, NoConvergence
 
 _EPS = float(np.finfo(float).eps)
@@ -180,7 +181,9 @@ class Potential:
         hess_apply(x, grad(x)), checked the same way.
 
         When ``rho`` is positive and no minimizer is given, the minimizer is
-        located by descent until the gradient norm drops below 1e-10.
+        located by the damped Newton loop that the bridge solvers run, on the
+        gradient with the Hessian assembled from ``hess_apply``; a search
+        that ends with a gradient sup-norm of 1e-8 or more is NoConvergence.
         """
         dim = int(dim)
 
@@ -294,30 +297,27 @@ class Potential:
     # -- minimizer search --------------------------------------------------------
 
     def _locate_minimizer(self) -> np.ndarray:
+        """Newton on F' from the origin (all ones where the origin is outside
+        the domain) to a gradient sup-norm below 1e-10, or 1e-8 where
+        finite-difference noise stops it first."""
         x = np.zeros(self.dim)
         if not self.in_domain(x):
             x = np.ones(self.dim)
-        f = self.value(x)
-        step = 1.0 / max(self.rho, 1e-8)
-        for _ in range(200000):
+
+        def gradient(x):
+            if not self.in_domain(x):
+                return np.inf, None
             g = self.grad(x)
-            if float(np.max(np.abs(g))) < 1e-10:
-                return x
-            t = step
-            for _ in range(60):
-                cand = x - t * g
-                if self.in_domain(cand):
-                    fc = self.value(cand)
-                    if fc <= f - 1e-4 * t * float(g @ g):
-                        x, f = cand, fc
-                        break
-                t *= 0.5
-            else:
-                # no further progress possible at float precision
-                if float(np.max(np.abs(g))) < 1e-8:
-                    return x
-                raise NoConvergence("minimizer search stalled")
-        raise NoConvergence("minimizer search exceeded its iteration budget")
+            return float(np.max(np.abs(g))), g
+
+        def newton_step(x, g):
+            H = np.column_stack([self.hess_apply(x, e) for e in np.eye(self.dim)])
+            return np.linalg.solve(H, -g)
+
+        x, err, _, _ = _damped_newton(gradient, newton_step, x, 1e-10)
+        if not err < 1e-8:
+            raise NoConvergence(f"minimizer search stopped at gradient sup-norm {err:.3g}")
+        return x
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Potential(kind={self.kind!r}, dim={self.dim}, rho={self.rho}, n_dim={self.n_dim})"

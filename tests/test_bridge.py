@@ -229,21 +229,12 @@ def test_auto_falls_back_to_action_when_long_horizon_shooting_fails():
 
 
 @pytest.mark.parametrize("options", [
-    {"method": "newton"}, {"max_iter": 0}, {"tol_boundary": 0.0}, {"tol_boundary": -1e-9},
+    {"method": "newton"}, {"tol_boundary": 0.0}, {"tol_boundary": -1e-9},
     {"tol_boundary": float("nan")}, {"tol_boundary": float("inf")}, {"grid_points": 2},
-], ids=["method", "max_iter_zero", "tol_zero", "tol_negative", "tol_nan", "tol_inf",
-        "grid_points_small"])
+], ids=["method", "tol_zero", "tol_negative", "tol_nan", "tol_inf", "grid_points_small"])
 def test_solver_options_reject_out_of_range_values(options):
     with pytest.raises(ValueError):
         SolverOptions(**options)
-
-
-def test_shooting_no_convergence_budget():
-    P = Potential.neg_log(1)
-    with pytest.raises(NoConvergence):
-        solve_bridge_shooting(
-            P, [1.0], [3.0], 5.0, SolverOptions(max_iter=1, tol_boundary=1e-12)
-        )
 
 
 def test_shooting_never_calls_the_action_route(monkeypatch):
@@ -251,8 +242,10 @@ def test_shooting_never_calls_the_action_route(monkeypatch):
         raise AssertionError("shooting called the action route")
 
     monkeypatch.setattr(bridge_module, "solve_bridge_action", refuse)
+    # a stiff quadratic on a coarse grid: shooting fails on its own
+    P = Potential.quadratic_matrix(np.diag([0.2, 6.0]))
     with pytest.raises(NoConvergence):
-        solve_bridge_shooting(Potential.neg_log(1), [1.0], [3.0], 5.0, SolverOptions(max_iter=1))
+        solve_bridge_shooting(P, [1.0, -1.0], [0.5, 2.0], 10.0, SolverOptions(grid_points=201))
 
 
 def test_shooting_escape_when_every_start_leaves_domain():
@@ -265,7 +258,7 @@ def test_shooting_escape_when_every_start_leaves_domain():
         domain=POSITIVE_ORTHANT,
     )
     with pytest.raises(DomainEscape):
-        solve_bridge_shooting(P, [1.0], [0.05], 0.1, SolverOptions(max_iter=1))
+        solve_bridge_shooting(P, [1.0], [0.05], 0.1)
 
 
 # -- multiple shooting --------------------------------------------------------
@@ -343,9 +336,13 @@ def test_action_cross_solver_agreement_neglog_long_horizon():
     assert act.cost == pytest.approx(shoot.cost, rel=0.02)
 
 
-def test_auto_falls_back_to_action():
+def test_auto_falls_back_to_action(monkeypatch):
+    def fail(*args, **kwargs):
+        raise NoConvergence("shooting failed")
+
+    monkeypatch.setattr(bridge_module, "solve_bridge_shooting", fail)
     P = Potential.neg_log(1)
-    opts = SolverOptions(method="auto", max_iter=1, grid_points=401)
+    opts = SolverOptions(method="auto", grid_points=401)
     sol = solve_bridge(P, [1.0], [2.0], 2.0, opts)
     assert sol.solver == "action"
     # conservation at discretization accuracy (endpoint differences are O(h^2))

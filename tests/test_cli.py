@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from decimal import Decimal, localcontext
 from pathlib import Path
@@ -64,21 +65,17 @@ def test_run_rejects_bad_mode_and_missing_file(tmp_path):
         {"endpoints": [2.0, 1.0]},
         {"outputs": "out"},
         {"solver": {"method": "shooting", "grid_points": 2}},
-        {"solver": {"method": "shooting", "max_iter": 0}},
         {"solver": {"method": "shooting", "tol_boundary": 0.0}},
         {"solver": {"method": "shooting", "tol_boundary": -1e-9}},
         {"solver": {"method": "shooting", "tol_boundary": float("nan")}},
         {"solver": {"method": "shooting", "tol_boundary": float("inf")}},
         {"solver": {"method": "shooting", "grid_points": 200.7}},
-        {"solver": {"method": "shooting", "max_iter": 2.9}},
-        {"solver": {"method": "shooting", "max_iter": True}},
         {"potential": {"kind": "quadratic_isotropic", "dim": 1.5}},
         {"potential": {"kind": "neg_log", "dim": True}},
     ],
     ids=["T_text", "T_null", "theta_text", "t_fraction_list", "endpoints_list",
-         "outputs_text", "grid_points_small", "max_iter_zero", "tol_zero",
-         "tol_negative", "tol_nan", "tol_inf", "grid_points_fraction",
-         "max_iter_fraction", "max_iter_bool", "dim_fraction", "dim_bool"],
+         "outputs_text", "grid_points_small", "tol_zero", "tol_negative", "tol_nan",
+         "tol_inf", "grid_points_fraction", "dim_fraction", "dim_bool"],
 )
 def test_malformed_config_is_a_config_error(tmp_path, capsys, patch):
     cfg = write_config(tmp_path, {**BASE, **patch})
@@ -92,12 +89,13 @@ def test_run_rejects_dimension_mismatch(tmp_path):
 
 
 def test_solver_failure_exit_code(tmp_path):
+    # a stiff quadratic on a coarse grid, which shooting cannot solve
     bad = {
         **BASE,
-        "potential": {"kind": "neg_log", "dim": 1},
-        "endpoints": {"x": [1.0], "y": [3.0]},
-        "T_values": [2.0, 4.0],
-        "solver": {"method": "shooting", "max_iter": 1},
+        "potential": {"kind": "quadratic_matrix", "matrix": [[0.2, 0.0], [0.0, 6.0]]},
+        "endpoints": {"x": [1.0, -1.0], "y": [0.5, 2.0]},
+        "T_values": [5.0, 10.0],
+        "solver": {"method": "shooting", "grid_points": 201},
     }
     cfg = write_config(tmp_path, bad)
     out = tmp_path / "results"
@@ -105,6 +103,25 @@ def test_solver_failure_exit_code(tmp_path):
     assert code == 2
     summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
     assert summary["failures"]
+
+
+def test_legacy_max_iter_key_is_ignored(tmp_path):
+    legacy = {
+        **BASE,
+        "potential": {"kind": "neg_log", "dim": 1},
+        "endpoints": {"x": [1.0], "y": [3.0]},
+        "T_values": [2.0, 4.0],
+        "solver": {"method": "shooting", "max_iter": 1},
+    }
+    cfg = write_config(tmp_path, legacy)
+    assert main(["run", str(cfg), "--out-dir", str(tmp_path / "results")]) == 0
+
+
+def test_readme_config_schema_lists_every_solver_option():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    schema = readme.split("### Config schema", 1)[1].split("```json", 1)[1].split("```", 1)[0]
+    documented = set(json.loads(schema)["solver"])
+    assert documented == {f.name for f in dataclasses.fields(SolverOptions)}
 
 
 def test_verify_mode_reports_all_pass(tmp_path):

@@ -96,14 +96,20 @@ def test_custom_finite_difference_gradient():
 
 
 def test_custom_minimizer_search():
-    # strongly convex quartic-plus-quadratic, minimum at the origin
-    P = Potential.custom(
-        2,
-        lambda x: float(x @ x) + float(np.sum(x**4)),
-        grad_fn=lambda x: 2.0 * x + 4.0 * x**3,
-        rho=2.0,
-    )
-    assert np.max(np.abs(P.grad(P.minimizer))) < 1e-10
+    A, tilt = np.diag([0.1, 10.0]), np.array([2.0, -1.0])
+    cases = [
+        # strongly convex quartic-plus-quadratic, minimum at the origin
+        (dict(value_fn=lambda x: float(x @ x) + float(np.sum(x**4)),
+              grad_fn=lambda x: 2.0 * x + 4.0 * x**3), 2.0, 1e-10),
+        # condition number 100, minimum far from the origin
+        (dict(value_fn=lambda x: 0.5 * float(x @ A @ x) + float(tilt @ x),
+              grad_fn=lambda x: A @ x + tilt, hess_apply_fn=lambda x, v: A @ v), 0.1, 1e-10),
+        # value only: finite-difference derivatives limit the gradient reached
+        (dict(value_fn=lambda x: float(x @ x) + float(np.sum(x**4)) + float(tilt @ x)), 2.0, 1e-8),
+    ]
+    for fns, rho, tol in cases:
+        P = Potential.custom(2, rho=rho, **fns)
+        assert np.max(np.abs(P.grad(P.minimizer))) < tol
 
 
 def test_gradients_match_central_differences_on_random_points():

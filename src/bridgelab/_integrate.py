@@ -31,8 +31,8 @@ def integrate_grid(
     on every step result, so every state `rhs` is called on has been checked
     exactly once and `rhs` may skip its own validation. The first bad state
     ends the call: an infeasible one raises DomainEscape, and a step result
-    that is not finite raises NonFinite. Callers recover one level up, as
-    shooting does by halving its Newton step.
+    that is not finite raises NonFinite. ``_damped_newton`` takes either as
+    an unusable trial, or, inside a Newton step, as no step.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -65,43 +65,47 @@ NEWTON_MAX_ITER = 100
 def _damped_newton(evaluate, newton_step, u, tol):
     """Damped Newton iteration from u, the package's only nonlinear iteration.
 
-    ``evaluate(u)`` returns ``(error, data)``: the sup-norm error of u,
-    infinite where u is unusable, and whatever ``newton_step(u, data)``
-    needs to return a step. A step of None, or a LinAlgError from a
-    singular system, means no step is available. Each step is halved (up
-    to 30 times) until the error decreases; the iteration ends once the
-    error is below ``tol``, when no step is available, after two stalled
-    steps, or after NEWTON_MAX_ITER iterations. Returns ``(u, error, data,
-    iterations)``; ``iterations`` counts every pass including the one that
-    met ``tol``, and is 0 exactly when the start itself is unusable.
+    ``evaluate(u)`` returns ``(error, data)``: the sup-norm error of u and
+    whatever ``newton_step(u, data)`` needs to return a step. The loop alone
+    decides what failed: a trial is unusable when its error is infinite or
+    evaluating it raises DomainEscape or NonFinite; no step is available when
+    ``newton_step`` raises LinAlgError, DomainEscape or NonFinite, or returns
+    a step that is not finite. Other exceptions pass through. Each step is
+    halved (up to 30 times) until the error decreases; the iteration ends
+    once the error is below ``tol``, when no step is available, at the first
+    step no halving improves, or after NEWTON_MAX_ITER iterations. Returns
+    ``(u, error, data, iterations)``; ``iterations`` counts every pass
+    including the one that met ``tol``, and is 0 exactly when the start
+    itself is unusable.
     """
-    err, data = evaluate(u)
+    def trial(u):
+        try:
+            return evaluate(u)
+        except (DomainEscape, NonFinite):
+            return np.inf, None
+
+    err, data = trial(u)
     if not np.isfinite(err):
         return u, err, data, 0
-    iterations = stall = 0
+    iterations = 0
     for _ in range(NEWTON_MAX_ITER):
         iterations += 1
         if err < tol:
             break
         try:
             step = newton_step(u, data)
-        except np.linalg.LinAlgError:
+        except (np.linalg.LinAlgError, DomainEscape, NonFinite):
             break
-        if step is None:
+        if not np.all(np.isfinite(step)):
             break
-        lam, improved = 1.0, False
+        lam = 1.0
         for _ in range(30):
-            err_new, data_new = evaluate(u + lam * step)
+            v = u + lam * step
+            err_new, data_new = trial(v)
             if err_new < err:
-                u = u + lam * step
-                err, data = err_new, data_new
-                improved = True
                 break
             lam *= 0.5
-        if not improved:
-            stall += 1
-            if stall >= 2:
-                break
         else:
-            stall = 0
+            break
+        u, err, data = v, err_new, data_new
     return u, err, data, iterations

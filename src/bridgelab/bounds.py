@@ -17,7 +17,6 @@ import numpy as np
 from .bridge import BridgeSolution, SolverOptions, reverse_solution, solve_bridge
 from .errors import DegenerateSeries, MissingPrerequisite, BridgeLabError
 from .flow import gradient_flow
-from .functionals import defect_field
 from .potential import Potential
 
 #: Reports pass when margin >= -BOUND_TOL * (1 + |rhs|).
@@ -158,8 +157,11 @@ def _verify_one_orientation(P, x, y, T, sol, flow, c1, t_values, theta_values, o
     nodes = [(idx, float(traj.times[idx])) for idx in map(traj.nearest_index, t_values)]
 
     def phi_sq(idx: int) -> float:
-        phi = defect_field(traj, P, traj.times[idx])
+        phi = P.grad(traj.states[idx]) + traj.velocities[idx]
         return float(phi @ phi)
+
+    def flow_gap(idx: int) -> float:
+        return float(np.linalg.norm(traj.states[idx] - flow.states[idx]))
 
     if n_finite:
         reports.append(_report("B1", -E, 2.0 * n / T, part="energy", **base))
@@ -186,12 +188,10 @@ def _verify_one_orientation(P, x, y, T, sol, flow, c1, t_values, theta_values, o
                     **base,
                 )
             )
-        for idx, tt in nodes:
-            dist = float(np.linalg.norm(traj.states[idx] - flow.states[idx]))
-            if c1 is not None and T >= 1.0:
-                budget = max(2.0 * (Fy - Fx) + c1 + 2.0 * n * math.log(T), 0.0)
-                rhs = 2.0 * math.sqrt(budget) * (math.sqrt(T) - math.sqrt(T - tt))
-                reports.append(_report("B8", dist, rhs, t=tt, c1=c1, **base))
+        if c1 is not None and T >= 1.0:
+            for idx, tt in nodes:
+                rhs = 2.0 * math.sqrt(max(log_budget, 0.0)) * (math.sqrt(T) - math.sqrt(T - tt))
+                reports.append(_report("B8", flow_gap(idx), rhs, t=tt, c1=c1, **base))
         reports.append(
             _report(
                 "B11",
@@ -218,11 +218,10 @@ def _verify_one_orientation(P, x, y, T, sol, flow, c1, t_values, theta_values, o
             _report("B5", abs(E), 2.0 * rho / math.expm1(rho * T) * math.sqrt(disc), **base)
         )
         for idx, tt in nodes:
-            dist = float(np.linalg.norm(traj.states[idx] - flow.states[idx]))
             denom = math.exp(-2.0 * rho * tt) - math.exp(-2.0 * rho * T)
             if denom > 0:
                 rhs = tt * math.exp(-rho * T) * math.sqrt(2.0 * rho / denom * budget)
-                reports.append(_report("B7", dist, rhs, t=tt, **base))
+                reports.append(_report("B7", flow_gap(idx), rhs, t=tt, **base))
         if has_min:
             Fstar = P.value(P.minimizer)
             for idx, tt in nodes:

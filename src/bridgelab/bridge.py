@@ -166,7 +166,8 @@ def solve_bridge_shooting(P: Potential, x, y, T: float, opts: SolverOptions | No
     the reversed flow from y with velocity +F'; both flows run as one batch
     on the solve's grid.
 
-    Each start runs ``_damped_newton``. The Jacobian uses forward
+    Each start runs ``_damped_newton``, which owns every escape and
+    overflow of an integration. The Jacobian uses forward
     differences, with step 1e-6*(1+|s|) for a segment's unknowns s, all
     integrated as one batch, and only at an iterate that misses the
     tolerance. ``context["restarts"]`` is the index of the start that
@@ -199,15 +200,12 @@ def solve_bridge_shooting(P: Potential, x, y, T: float, opts: SolverOptions | No
     def landing_error(u):
         """Sup-norm error of u, with its (k + 1, M, 2d) segment paths and residuals."""
         Z = initial_states(u)
-        try:
-            paths = _integrate_phase(P, Z, span, k)
-        except (DomainEscape, NonFinite):
-            return np.inf, None
+        paths = _integrate_phase(P, Z, span, k)
         r = paths[meet, np.arange(M)].ravel()[:n] - targets(Z)
         return float(np.max(np.abs(r))), (paths, r)
 
     def newton_step(u, data):
-        """Newton step through the forward-difference Jacobian, or None on an escape."""
+        """Newton step through the forward-difference Jacobian."""
         r = data[1]
         Z = initial_states(u)
         scale = np.linalg.norm(Z, axis=1)
@@ -215,10 +213,7 @@ def solve_bridge_shooting(P: Potential, x, y, T: float, opts: SolverOptions | No
         fd = 1e-6 * (1.0 + scale[seg])
         rows = Z[seg]
         rows[np.arange(n), comp] += fd
-        try:
-            paths = _integrate_phase(P, rows, span, k)
-        except (DomainEscape, NonFinite):
-            return None
+        paths = _integrate_phase(P, rows, span, k)
         end = paths[meet[seg], np.arange(n)]
         base = r + targets(Z)
         J = np.zeros((n, n))
@@ -227,8 +222,6 @@ def solve_bridge_shooting(P: Potential, x, y, T: float, opts: SolverOptions | No
         for p, j in enumerate(seg):
             lo, hi = 2 * d * j, min(2 * d * (j + 1), n)
             J[lo:hi, p] = (end[p, :hi - lo] - base[lo:hi]) / fd[p]
-        if not np.all(np.isfinite(J)):
-            return None
         return np.linalg.solve(J, -r)
 
     # starting guesses, each built only when the one before it has failed
@@ -333,7 +326,7 @@ def solve_bridge_action(P: Potential, x, y, T: float, opts: SolverOptions | None
         return (2.0 / h) * float(np.max(np.abs(r))), (force, r)
 
     def newton_step(z, data):
-        """Newton step by block elimination, or None when it breaks down."""
+        """Newton step by block elimination."""
         force, r = data
         inner = z.reshape(n_nodes - 2, d)
         fd = 1e-7 * (1.0 + np.linalg.norm(inner, axis=1))
@@ -342,8 +335,7 @@ def solve_bridge_action(P: Potential, x, y, T: float, opts: SolverOptions | None
             shifted = inner.copy()
             shifted[:, k] += fd
             dforce[:, :, k] = (P.hess_grad_many(shifted) - force) / fd[:, None]
-        step = _block_tridiagonal_solve(-2.0 * np.eye(d) - h * h * dforce, -r)
-        return None if step is None else step.ravel()
+        return _block_tridiagonal_solve(-2.0 * np.eye(d) - h * h * dforce, -r).ravel()
 
     z, err, _, iterations = _damped_newton(equations, newton_step, straight[1:-1].ravel(),
                                            ACTION_GTOL)
@@ -364,7 +356,7 @@ ACTION_GTOL = 1e-8
 def _block_tridiagonal_solve(D, b):
     """Solve s_{i-1} + D_i s_i + s_{i+1} = b_i for i < n, with s_{-1} = s_n = 0,
     by block elimination; D is (n, d, d) and b is (n, d). A singular pivot
-    block raises LinAlgError; a solution that is not finite is None."""
+    block raises LinAlgError."""
     n, d = b.shape
     # row n stays zero, so row i - 1 = -1 reads the boundary at i = 0
     C = np.zeros((n + 1, d, d))
@@ -375,7 +367,7 @@ def _block_tridiagonal_solve(D, b):
     s = np.zeros((n + 1, d))
     for i in range(n - 1, -1, -1):
         s[i] = g[i] - C[i] @ s[i + 1]
-    return s[:n] if np.all(np.isfinite(s)) else None
+    return s[:n]
 
 
 def solve_bridge(P: Potential, x, y, T: float, opts: SolverOptions | None = None) -> BridgeSolution:

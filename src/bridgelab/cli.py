@@ -17,7 +17,7 @@ import numpy as np
 from .bounds import EXPONENTIAL, POWER_LAW, fit_rate, unit_horizon_cost, verify_bounds
 from .bridge import solve_bridge
 from .config import ExperimentConfig, builtin_config_names, resolve_config
-from .errors import BridgeLabError, ConfigError, DegenerateSeries, OffGrid
+from .errors import BridgeLabError, ConfigError, DegenerateSeries
 from .flow import gradient_flow
 from .functionals import energy_stats
 from .gaussian import GaussianBridge, gamma_expansion, gaussian_cost, gaussian_energy, heat_flow_distance
@@ -231,10 +231,7 @@ def run(config: ExperimentConfig, *, keep_going: bool = False, threads: int = 1,
             }
             if T > 1.0:
                 flow = gradient_flow(P, config.x, 1.0, steps=200)
-                try:
-                    state = sol.trajectory.states[sol.trajectory.index_of(1.0)]
-                except OffGrid:
-                    state = _interp_state(sol.trajectory, 1.0)
+                state = _interp_state(sol.trajectory, 1.0)
                 row["dist_flow_t1"] = float(np.linalg.norm(state - flow.states[-1]))
             return row
 
@@ -273,6 +270,7 @@ def run(config: ExperimentConfig, *, keep_going: bool = False, threads: int = 1,
 
 
 def _interp_state(traj, t: float) -> np.ndarray:
+    """The state at t, linear between nodes; a node's own state bit for bit."""
     i = int(np.searchsorted(traj.times, t) - 1)
     i = min(max(i, 0), traj.n_nodes - 2)
     w = (t - traj.times[i]) / (traj.times[i + 1] - traj.times[i])

@@ -67,6 +67,8 @@ def parse_config(data: dict, *, name_hint: str = "config") -> ExperimentConfig:
         y = np.asarray(endpoints.get("y", endpoints.get("x")), dtype=float).reshape(-1)
     except (TypeError, ValueError) as exc:
         raise ConfigError("endpoints.x / endpoints.y must be numeric arrays") from exc
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ConfigError("endpoints.x / endpoints.y must be given and finite")
     if x.size != potential.dim or y.size != potential.dim:
         raise ConfigError(
             f"endpoint dimension mismatch: potential dim {potential.dim}, "

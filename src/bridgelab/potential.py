@@ -83,6 +83,8 @@ class Potential:
     ):
         if dim < 1:
             raise ValueError("dim must be a positive integer")
+        if domain not in (ALL_SPACE, POSITIVE_ORTHANT):
+            raise ValueError(f"unknown domain {domain!r}")
         self.kind = kind
         self.dim = int(dim)
         self.rho = None if rho is None else float(rho)

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 import bridgelab.bounds as bounds_module
-from bridgelab import OffGrid, Potential, SolverOptions, gradient_flow, solve_bridge
+import bridgelab.cli as cli_module
+from bridgelab import (NoConvergence, OffGrid, Potential, SolverOptions, gradient_flow,
+                       solve_bridge)
 from bridgelab.cli import main
 from bridgelab.config import builtin_config_names, load_builtin_config, resolve_config
 from bridgelab.errors import ConfigError
@@ -72,10 +74,14 @@ def test_run_rejects_bad_mode_and_missing_file(tmp_path):
         {"solver": {"method": "shooting", "grid_points": 200.7}},
         {"potential": {"kind": "quadratic_isotropic", "dim": 1.5}},
         {"potential": {"kind": "neg_log", "dim": True}},
+        {"endpoints": {}},
+        {"mode": "gaussian", "endpoints": {}},
+        {"endpoints": {"x": [float("inf")]}},
     ],
     ids=["T_text", "T_null", "theta_text", "t_fraction_list", "endpoints_list",
          "outputs_text", "grid_points_small", "tol_zero", "tol_negative", "tol_nan",
-         "tol_inf", "grid_points_fraction", "dim_fraction", "dim_bool"],
+         "tol_inf", "grid_points_fraction", "dim_fraction", "dim_bool", "endpoints_missing",
+         "gaussian_endpoints_missing", "endpoint_infinite"],
 )
 def test_malformed_config_is_a_config_error(tmp_path, capsys, patch):
     cfg = write_config(tmp_path, {**BASE, **patch})
@@ -86,6 +92,54 @@ def test_malformed_config_is_a_config_error(tmp_path, capsys, patch):
 def test_run_rejects_dimension_mismatch(tmp_path):
     cfg = write_config(tmp_path, {**BASE, "endpoints": {"x": [1.0, 2.0], "y": [1.0, 2.0]}})
     assert main(["run", str(cfg)]) == 1
+
+
+def failing_at(horizon, solve):
+    """solve_bridge that raises NoConvergence at T == horizon; records every T asked."""
+    asked = []
+
+    def patched(P, x, y, T, opts=None):
+        asked.append(T)
+        if T == horizon:
+            raise NoConvergence(f"no bridge at T = {T:g}")
+        return solve(P, x, y, T, opts)
+
+    return patched, asked
+
+
+def test_first_failing_case_stops_the_run_without_keep_going(tmp_path, monkeypatch):
+    patched, asked = failing_at(2.0, solve_bridge)
+    monkeypatch.setattr(cli_module, "solve_bridge", patched)
+    cfg = write_config(tmp_path, {**BASE, "T_values": [1.0, 2.0, 3.0]})
+    out = tmp_path / "results"
+    assert main(["run", str(cfg), "--out-dir", str(out)]) == 2
+    assert asked == [1.0, 2.0]
+    summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+    assert [case["T"] for case in summary["cases"]] == [1.0]
+    assert summary["failures"] == [{"T": 2.0, "error": "no bridge at T = 2"}]
+
+
+def test_failing_unit_horizon_solve_is_tried_once_and_fails_every_case(tmp_path, monkeypatch):
+    patched, asked = failing_at(1.0, solve_bridge)
+    monkeypatch.setattr(bounds_module, "solve_bridge", patched)
+    cfg = write_config(
+        tmp_path,
+        {
+            **BASE,
+            "mode": "verify",
+            "potential": {"kind": "neg_log", "dim": 1},
+            "endpoints": {"x": [1.0], "y": [1.5]},
+            "T_values": [2.0, 3.0],
+            "solver": {"method": "shooting", "grid_points": 401},
+        },
+    )
+    out = tmp_path / "results"
+    assert main(["run", str(cfg), "--keep-going", "--out-dir", str(out)]) == 2
+    assert asked == [1.0]
+    summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+    assert summary["cases"] == []
+    assert [f["T"] for f in summary["failures"]] == [2.0, 3.0]
+    assert all("unit-horizon cost" in f["error"] for f in summary["failures"])
 
 
 def test_solver_failure_exit_code(tmp_path):
@@ -243,6 +297,20 @@ def test_sweep_interpolates_the_bridge_when_t1_is_off_the_grid(tmp_path):
              ((1.0 - w) * traj.states[i] + w * traj.states[i + 1], traj.states[i], traj.states[i + 1])]
     assert float(row[4]) == pytest.approx(dists[0], rel=1e-12, abs=0.0)
     assert float(row[4]) not in dists[1:]
+
+
+def test_sweep_reads_the_node_at_t1_bit_for_bit(tmp_path):
+    # 201 nodes on [0, 2] put t = 1 on node 100
+    solver = {"method": "shooting", "grid_points": 201}
+    cfg = write_config(tmp_path, {**BASE, "mode": "sweep", "T_values": [2.0], "solver": solver})
+    out = tmp_path / "results"
+    assert main(["run", str(cfg), "--out-dir", str(out)]) == 0
+    row = (out / "case_sweep.csv").read_text(encoding="utf-8").splitlines()[1].split(",")
+
+    P = Potential.quadratic_isotropic(1)
+    traj = solve_bridge(P, [2.0], [1.0], 2.0, SolverOptions(**solver)).trajectory
+    flow_t1 = gradient_flow(P, [2.0], 1.0, steps=200).states[-1]
+    assert float(row[4]) == float(np.linalg.norm(traj.states[traj.index_of(1.0)] - flow_t1))
 
 
 def test_flow_mode(tmp_path):

@@ -17,3 +17,17 @@ def test_runtime_imports_only_numpy_and_the_standard_library():
                 continue
             for name in names:
                 assert name.split(".")[0] in allowed, f"{path.name} imports {name}"
+
+
+def test_the_kernel_module_imports_only_the_errors_of_the_package():
+    # potential.py imports the Newton loop from _integrate, so _integrate must
+    # not import anything that imports potential.py
+    tree = ast.parse((SRC / "_integrate.py").read_text(encoding="utf-8"))
+    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    local = [node.module for node in imports if isinstance(node, ast.ImportFrom) and node.level]
+    assert local == ["errors"]
+    absolute = [alias.name for node in imports if isinstance(node, ast.Import)
+                for alias in node.names]
+    absolute += [node.module for node in imports
+                 if isinstance(node, ast.ImportFrom) and not node.level]
+    assert not [name for name in absolute if name.split(".")[0] == "bridgelab"]

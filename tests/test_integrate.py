@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bridgelab import DomainEscape, NonFinite, Potential
-from bridgelab._integrate import integrate_grid
+from bridgelab._integrate import _damped_newton, integrate_grid
 
 
 def positive(z):
@@ -121,3 +121,70 @@ def test_a_row_that_keeps_escaping_fails_the_whole_batch():
         integrate_grid(rhs, [0.1, 11.5], 1.0, 4, feasible)
     with pytest.raises(DomainEscape):
         integrate_grid(rhs, [[1.0, 0.3], [0.1, 11.5], [2.0, -0.4]], 1.0, 4, feasible)
+
+
+# -- the damped Newton loop ----------------------------------------------------------
+
+
+def distance_to(target, trials, escape_above=np.inf):
+    """evaluate() of the toy problem u = target, recording every trial; a
+    trial above `escape_above` raises DomainEscape."""
+
+    def evaluate(u):
+        trials.append(u.copy())
+        if np.any(u > escape_above):
+            raise DomainEscape("trial left the domain")
+        return float(np.max(np.abs(u - target))), None
+
+    return evaluate
+
+
+def test_a_singular_system_ends_the_newton_loop():
+    def singular(u, data):
+        return np.linalg.solve(np.zeros((1, 1)), u)
+
+    trials = []
+    u, err, _, iterations = _damped_newton(distance_to(2.0, trials), singular, np.zeros(1), 1e-12)
+    assert u[0] == 0.0 and err == 2.0
+    assert iterations == 1 and len(trials) == 1
+
+
+def test_a_step_that_is_not_finite_ends_the_newton_loop_without_trying_it():
+    trials = []
+    u, err, _, iterations = _damped_newton(distance_to(2.0, trials),
+                                           lambda u, data: np.full(1, np.nan), np.zeros(1), 1e-12)
+    assert u[0] == 0.0 and err == 2.0
+    assert iterations == 1 and len(trials) == 1
+
+
+def test_an_escaping_trial_is_unusable_and_its_step_is_halved():
+    # the full step lands at 4, beyond the domain edge at 3; half of it lands on 2
+    trials = []
+    evaluate = distance_to(2.0, trials, escape_above=3.0)
+    u, err, _, iterations = _damped_newton(evaluate, lambda u, data: 2.0 * (2.0 - u),
+                                           np.zeros(1), 1e-12)
+    assert u[0] == 2.0 and err == 0.0
+    assert [t[0] for t in trials] == [0.0, 4.0, 2.0] and iterations == 2
+    # a start outside the domain runs no iteration
+    trials.clear()
+    u, err, data, iterations = _damped_newton(evaluate, lambda u, data: 2.0 - u,
+                                              np.full(1, 5.0), 1e-12)
+    assert u[0] == 5.0 and err == np.inf and data is None and iterations == 0
+    assert len(trials) == 1
+
+
+def test_the_first_line_search_that_no_halving_improves_ends_the_newton_loop():
+    # every step points away from the target
+    trials = []
+    u, err, _, iterations = _damped_newton(distance_to(2.0, trials),
+                                           lambda u, data: u - 2.0, np.zeros(1), 1e-12)
+    assert u[0] == 0.0 and err == 2.0
+    assert iterations == 1 and len(trials) == 1 + 30
+
+
+def test_the_newton_loop_lets_other_errors_through():
+    def bad_direction(u, data):
+        raise ValueError("direction must be finite")
+
+    with pytest.raises(ValueError, match="direction must be finite"):
+        _damped_newton(distance_to(2.0, []), bad_direction, np.zeros(1), 1e-12)

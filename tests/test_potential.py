@@ -73,6 +73,14 @@ def test_in_domain_rejects_nonfinite_points_and_the_boundary():
         assert Q.in_domain(rows) == (bad == 0.0)
 
 
+def test_unknown_domain_is_rejected():
+    # "positive" is not a domain name, so it must not pass for all space
+    with pytest.raises(ValueError, match="domain"):
+        Potential.custom(1, lambda x: -float(np.sum(np.log(x))), domain="positive")
+    P = Potential.custom(1, lambda x: -float(np.sum(np.log(x))), domain=POSITIVE_ORTHANT)
+    assert not P.in_domain(np.array([-1.0]))
+
+
 def test_quadratic_matrix_rho_is_smallest_eigenvalue():
     A = np.array([[2.0, 0.5], [0.5, 1.0]])
     P = Potential.quadratic_matrix(A)

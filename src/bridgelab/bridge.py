@@ -92,7 +92,7 @@ def _finish_solution(traj, P, solver, boundary_error, iterations, **context) -> 
     energy = energy_stats(traj, grads)
     return BridgeSolution(
         trajectory=traj,
-        cost=trapezoid_cost(traj, grads),
+        cost=trapezoid_cost(traj, P, grads),
         energy_mean=energy.mean,
         energy_maxdev=energy.maxdev,
         newton_residual=newton_residual(traj, P) if traj.n_nodes >= 5 else float("nan"),
@@ -127,20 +127,35 @@ def _integrate_phase(P: Potential, Z0: np.ndarray, T: float, steps: int) -> np.n
 
 
 #: Multiple shooting cuts [0, T] into segments of at most
-#: SEGMENT_SPAN / max(rho, 1) time units, so the landing map of a segment is
-#: at most about exp(SEGMENT_SPAN) sensitive to its initial state.
+#: SEGMENT_SPAN / max(rho, 1) time units for every potential, so the landing
+#: map of a segment is at most about exp(SEGMENT_SPAN) sensitive to its
+#: initial state.
 SEGMENT_SPAN = 5.0
+
+#: A potential with ``batched_rows`` also gets segments of at most
+#: SEGMENT_STEPS grid steps. A landing map is a sequential loop over the
+#: segment's RK4 steps, and each step costs about the same numpy overhead
+#: however many rows the batch holds, so many short segments are cheaper
+#: than a few long ones. A custom potential evaluates rows in a Python loop,
+#: so every extra segment costs it rows in the landing map and its Jacobian;
+#: it keeps the SEGMENT_SPAN rule alone.
+SEGMENT_STEPS = 50
 
 
 def _segment_starts(P: Potential, T: float, steps: int) -> tuple[np.ndarray, int]:
     """First grid node of each shooting segment, and the segment length k.
 
-    Every segment is k = ceil(steps / M) steps long, so all advance as one
-    batch; the last one starts at node steps - k, so none runs past T.
+    The segment count M is ceil(T max(rho, 1) / SEGMENT_SPAN), raised to
+    ceil(steps / SEGMENT_STEPS) for a potential with ``batched_rows``, and
+    at most half the step count. Every segment is k = ceil(steps / M) steps long, so all
+    advance as one batch; the last one starts at node steps - k, so none runs
+    past T.
     """
     rate = max(P.rho or 0.0, 1.0)
-    wanted = min(math.ceil(T * rate / SEGMENT_SPAN), steps // 2)
-    k = math.ceil(steps / max(wanted, 1))
+    wanted = math.ceil(T * rate / SEGMENT_SPAN)
+    if P.batched_rows:
+        wanted = max(wanted, math.ceil(steps / SEGMENT_STEPS))
+    k = math.ceil(steps / max(min(wanted, steps // 2), 1))
     M = math.ceil(steps / k)
     return np.array([j * k for j in range(M - 1)] + [steps - k]), k
 
@@ -148,10 +163,11 @@ def _segment_starts(P: Potential, T: float, steps: int) -> tuple[np.ndarray, int
 def solve_bridge_shooting(P: Potential, x, y, T: float, opts: SolverOptions | None = None) -> BridgeSolution:
     """Multiple shooting: damped Newton on the initial states of M segments.
 
-    [0, T] is cut into M segments of k grid steps each, with M the smallest
-    count that keeps a segment within SEGMENT_SPAN / max(rho, 1) time units
-    (at most half the step count); the last segment starts k steps before
-    T and the states of its neighbour beyond that junction are discarded.
+    [0, T] is cut into M segments of k grid steps each (``_segment_starts``):
+    a segment spans at most SEGMENT_SPAN / max(rho, 1) time units and, for a
+    potential with ``batched_rows``, at most SEGMENT_STEPS grid steps; M is
+    at most half the step count. The last segment starts k steps before T
+    and the states of its neighbour beyond that junction are discarded.
     The unknowns are the initial velocity and the initial states of
     segments 2..M; the residuals are the junction defects and the landing
     error at y, and the returned ``boundary_error`` is their sup norm. All
@@ -167,11 +183,13 @@ def solve_bridge_shooting(P: Potential, x, y, T: float, opts: SolverOptions | No
     on the solve's grid.
 
     Each start runs ``_damped_newton``, which owns every escape and
-    overflow of an integration. The Jacobian uses forward
-    differences, with step 1e-6*(1+|s|) for a segment's unknowns s, all
-    integrated as one batch, and only at an iterate that misses the
-    tolerance. ``context["restarts"]`` is the index of the start that
-    converged and ``context["segments"]`` is M.
+    overflow of an integration. The Jacobian is block bidiagonal: each
+    segment's 2d x 2d landing-map Jacobian, by forward differences with step
+    1e-6*(1+|s|) for a segment's unknowns s, all integrated as one batch and
+    only at an iterate that misses the tolerance, and minus the identity for
+    the next segment's start. ``_block_tridiagonal_solve`` solves it in
+    O(M d^3) without forming the n x n matrix. ``context["restarts"]`` is
+    the index of the start that converged and ``context["segments"]`` is M.
     """
     opts = opts or SolverOptions()
     x = P.check_domain(x)
@@ -193,36 +211,29 @@ def solve_bridge_shooting(P: Potential, x, y, T: float, opts: SolverOptions | No
     def initial_states(u):
         return np.concatenate([x, u]).reshape(M, 2 * d)
 
-    def targets(Z):
-        """What the segments must reach: each the next one's start, the last y."""
-        return np.concatenate([Z[1:].ravel(), y])
-
     def landing_error(u):
         """Sup-norm error of u, with its (k + 1, M, 2d) segment paths and residuals."""
         Z = initial_states(u)
         paths = _integrate_phase(P, Z, span, k)
-        r = paths[meet, np.arange(M)].ravel()[:n] - targets(Z)
+        # each segment must reach the next one's start, the last y
+        r = paths[meet, np.arange(M)].ravel()[:n] - np.concatenate([Z[1:].ravel(), y])
         return float(np.max(np.abs(r))), (paths, r)
 
     def newton_step(u, data):
-        """Newton step through the forward-difference Jacobian."""
-        r = data[1]
+        """Newton step through the forward-difference segment Jacobians."""
+        paths, r = data
         Z = initial_states(u)
         scale = np.linalg.norm(Z, axis=1)
         scale[0] = np.linalg.norm(Z[0, d:])
         fd = 1e-6 * (1.0 + scale[seg])
         rows = Z[seg]
         rows[np.arange(n), comp] += fd
-        paths = _integrate_phase(P, rows, span, k)
-        end = paths[meet[seg], np.arange(n)]
-        base = r + targets(Z)
-        J = np.zeros((n, n))
-        # the start of a segment is what the segment before it must reach
-        J[np.arange(n - d), np.arange(d, n)] = -1.0
-        for p, j in enumerate(seg):
-            lo, hi = 2 * d * j, min(2 * d * (j + 1), n)
-            J[lo:hi, p] = (end[p, :hi - lo] - base[lo:hi]) / fd[p]
-        return np.linalg.solve(J, -r)
+        end = _integrate_phase(P, rows, span, k)[meet[seg], np.arange(n)]
+        # the first segment's start position is x, so its block keeps only
+        # the velocity columns
+        jac = np.zeros((M, 2 * d, 2 * d))
+        jac[seg, :, comp] = (end - paths[meet[seg], seg]) / fd[:, None]
+        return _shooting_step(jac, r)
 
     # starting guesses, each built only when the one before it has failed
     if M == 1:
@@ -250,6 +261,33 @@ def solve_bridge_shooting(P: Potential, x, y, T: float, opts: SolverOptions | No
     raise NoConvergence(
         f"shooting did not reach the boundary tolerance after {total_iters} iterations"
     )
+
+
+def _shooting_step(jac: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Newton step of multiple shooting from the segments' landing-map
+    Jacobians ``jac`` (M, 2d, 2d) and the residuals r (2dM - d).
+
+    The residuals of segment j are its landing minus the start of segment
+    j + 1 (minus y, position only, for the last). The step solves the block
+    bidiagonal system jac_j ds_j - ds_{j+1} = -r_j, with the first segment's
+    start position pinned. Regrouped into block rows of 2d equations (the
+    velocity defect at junction j, or the pinned start position for j = 0,
+    then the position defect at junction j + 1), it is block tridiagonal in
+    the M starts.
+    """
+    M, m, _ = jac.shape
+    d = m // 2
+    eye = np.eye(d)
+    L = np.zeros((M, m, m))
+    D = np.zeros((M, m, m))
+    U = np.zeros((M, m, m))
+    L[1:, :d] = jac[:-1, d:]
+    D[0, :d, :d] = eye
+    D[1:, :d, d:] = -eye
+    D[:, d:] = jac[:, :d]
+    U[:-1, d:, :d] = -eye
+    b = -np.concatenate([np.zeros(d), r]).reshape(M, m)
+    return _block_tridiagonal_solve(L, D, U, b).ravel()[d:]
 
 
 def _turnpike_seed(P: Potential, x, y, T: float, steps: int, starts) -> np.ndarray:
@@ -297,7 +335,8 @@ def solve_bridge_action(P: Potential, x, y, T: float, opts: SolverOptions | None
     is the shared ``_integrate.NEWTON_MAX_ITER``.
     The returned trajectory carries velocities from centered differences on
     interior nodes (second-order one-sided at the ends), and its cost is the
-    same trapezoidal quadrature used everywhere else.
+    same end-corrected trapezoid used everywhere else; with second-order end
+    velocities the end term does not make it fourth-order on this route.
     """
     opts = opts or SolverOptions()
     x = P.check_domain(x)
@@ -326,7 +365,7 @@ def solve_bridge_action(P: Potential, x, y, T: float, opts: SolverOptions | None
         return (2.0 / h) * float(np.max(np.abs(r))), (force, r)
 
     def newton_step(z, data):
-        """Newton step by block elimination."""
+        """Newton step by banded block elimination."""
         force, r = data
         inner = z.reshape(n_nodes - 2, d)
         fd = 1e-7 * (1.0 + np.linalg.norm(inner, axis=1))
@@ -335,7 +374,8 @@ def solve_bridge_action(P: Potential, x, y, T: float, opts: SolverOptions | None
             shifted = inner.copy()
             shifted[:, k] += fd
             dforce[:, :, k] = (P.hess_grad_many(shifted) - force) / fd[:, None]
-        return _block_tridiagonal_solve(-2.0 * np.eye(d) - h * h * dforce, -r).ravel()
+        eye = np.eye(d)
+        return _block_tridiagonal_solve(eye, -2.0 * eye - h * h * dforce, eye, -r).ravel()
 
     z, err, _, iterations = _damped_newton(equations, newton_step, straight[1:-1].ravel(),
                                            ACTION_GTOL)
@@ -353,20 +393,41 @@ def solve_bridge_action(P: Potential, x, y, T: float, opts: SolverOptions | None
 ACTION_GTOL = 1e-8
 
 
-def _block_tridiagonal_solve(D, b):
-    """Solve s_{i-1} + D_i s_i + s_{i+1} = b_i for i < n, with s_{-1} = s_n = 0,
-    by block elimination; D is (n, d, d) and b is (n, d). A singular pivot
-    block raises LinAlgError."""
-    n, d = b.shape
-    # row n stays zero, so row i - 1 = -1 reads the boundary at i = 0
-    C = np.zeros((n + 1, d, d))
-    g = np.zeros((n + 1, d))
-    for i in range(n):
-        pivot = np.linalg.solve(D[i] - C[i - 1], np.column_stack([np.eye(d), b[i] - g[i - 1]]))
-        C[i], g[i] = pivot[:, :d], pivot[:, d]
-    s = np.zeros((n + 1, d))
+def _block_tridiagonal_solve(L, D, U, b):
+    """Solve L_i s_{i-1} + D_i s_i + U_i s_{i+1} = b_i for i < n, with
+    s_{-1} = s_n = 0; L, D and U are (n, m, m) (L_0 and U_{n-1} are not
+    read) and b is (n, m).
+
+    Banded elimination by block columns: column i's panel holds the m rows
+    left over from column i - 1 and block row i + 1, and a Householder QR of
+    the panel with everything right of it keeps m pivot rows and leaves m
+    rows for column i + 1. Orthogonal steps confined to the band keep the
+    elimination backward stable without choosing pivots, and no product of
+    blocks is formed. O(n m^3) work and O(n m^2) memory; a
+    singular system raises LinAlgError from its pivot block.
+    """
+    n, m = b.shape
+    # block row i as the columns [s_{i-1} | s_i | s_{i+1} | b_i]
+    rows = np.concatenate([np.broadcast_to(L, (n, m, m)), np.broadcast_to(D, (n, m, m)),
+                           np.broadcast_to(U, (n, m, m)), b[:, :, None]], axis=2)
+    rows[-1, :, 2 * m:3 * m] = 0.0
+    # the panel of column i: columns [s_i | s_{i+1} | s_{i+2} | b]
+    panel = np.zeros((2 * m, 3 * m + 1))
+    panel[:m, :2 * m] = rows[0, :, m:3 * m]
+    panel[:m, 3 * m] = b[0]
+    pivots = np.empty((n, m, 3 * m + 1))
+    for i in range(n - 1):
+        panel[m:] = rows[i + 1]
+        R = np.linalg.qr(panel, mode="r")
+        pivots[i] = R[:m]
+        panel[:m, :2 * m] = R[m:, m:3 * m]
+        panel[:m, 3 * m] = R[m:, 3 * m]
+    pivots[n - 1] = panel[:m]
+    # s_i = g_i - G_i (s_{i+1}, s_{i+2}) from every pivot block at once
+    G = np.linalg.solve(pivots[:, :, :m], pivots[:, :, m:])
+    s = np.zeros((n + 2, m))
     for i in range(n - 1, -1, -1):
-        s[i] = g[i] - C[i] @ s[i + 1]
+        s[i] = G[i, :, 2 * m] - G[i, :, :2 * m] @ s[i + 1:i + 3].ravel()
     return s[:n]
 
 

@@ -61,7 +61,10 @@ class Potential:
     loops over the checked pointwise methods for rows. ``hess_apply_fn(x, v)``
     takes a point and a direction.
     The pointwise methods check the point's shape and domain; the ``*_many``
-    methods call the callables on the rows as they are.
+    methods call the callables on the rows as they are. ``batched_rows`` is
+    true when the row callables are single numpy expressions (the builtin
+    constructors), so a batch of rows costs about as much as one row; it is
+    false for ``custom()``, whose rows loop in Python.
 
     Instances are immutable after construction and all evaluations are pure,
     so they are safe to share across threads.
@@ -80,6 +83,7 @@ class Potential:
         hess_apply_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
         force_fn: Callable[[np.ndarray], np.ndarray],
         minimizer: Optional[np.ndarray] = None,
+        batched_rows: bool = False,
     ):
         if dim < 1:
             raise ValueError("dim must be a positive integer")
@@ -95,6 +99,12 @@ class Potential:
         self._hess_apply_fn = hess_apply_fn
         self.force_fn = force_fn
         self.minimizer = None if minimizer is None else np.array(minimizer, dtype=float)
+        self._batched_rows = bool(batched_rows)
+
+    @property
+    def batched_rows(self) -> bool:
+        """Whether the row callables evaluate a batch as one numpy expression."""
+        return self._batched_rows
 
     # -- constructors -------------------------------------------------------
 
@@ -112,6 +122,7 @@ class Potential:
             hess_apply_fn=lambda x, v: v.copy(),
             force_fn=lambda X: X.copy(),
             minimizer=np.zeros(dim),
+            batched_rows=True,
         )
 
     @classmethod
@@ -144,6 +155,7 @@ class Potential:
             hess_apply_fn=lambda x, v: A @ v,
             force_fn=lambda X: (X @ A) @ A,
             minimizer=minimizer,
+            batched_rows=True,
         )
 
     @classmethod
@@ -159,6 +171,7 @@ class Potential:
             grad_fn=lambda X: -1.0 / X,
             hess_apply_fn=lambda x, v: v / (x * x),
             force_fn=lambda X: -1.0 / (X * X * X),
+            batched_rows=True,
         )
 
     @classmethod
@@ -222,6 +235,7 @@ class Potential:
             hess_apply_fn=fd_hess_apply if hess_apply_fn is None else hess_apply_fn,
             force_fn=_by_shape(force, lambda X: np.array([force(row) for row in X])),
             minimizer=minimizer,
+            batched_rows=False,
         )
         if pot.minimizer is None and rho is not None and rho > 0:
             pot.minimizer = pot._locate_minimizer()

@@ -196,7 +196,7 @@ def test_shooting_multidimensional_matrix_potential():
     assert act.cost == pytest.approx(sol.cost, rel=1e-3)
 
 
-@pytest.mark.parametrize("T, nodes, segments", [(40.0, 4001, 8), (160.0, 16001, 32)])
+@pytest.mark.parametrize("T, nodes, segments", [(40.0, 4001, 80), (160.0, 16001, 320)])
 def test_auto_long_horizon_strongly_convex_goes_through_shooting(monkeypatch, T, nodes, segments):
     # auto tries shooting at every horizon; multiple shooting reaches these
     def refuse(*args, **kwargs):
@@ -213,9 +213,10 @@ def test_auto_long_horizon_strongly_convex_goes_through_shooting(monkeypatch, T,
 
 
 def test_auto_falls_back_to_action_when_long_horizon_shooting_fails():
-    # a segment spans 5 / max(rho, 1) time units, so the stiff direction's
-    # landing map grows like exp(6 * 5) and shooting cannot land
-    P = Potential.quadratic_matrix(np.diag([0.2, 6.0]))
+    # the segment rule reads the smallest eigenvalue, so a segment of 50
+    # steps spans 2 time units and the stiff direction's landing map grows
+    # like exp(30 * 2), beyond double precision: shooting cannot land
+    P = Potential.quadratic_matrix(np.diag([0.2, 30.0]))
     x, y, T = [1.0, -1.0], [0.5, 2.0], 40.0
     opts = SolverOptions(grid_points=1001)
     with pytest.raises(NoConvergence):
@@ -243,7 +244,7 @@ def test_shooting_never_calls_the_action_route(monkeypatch):
 
     monkeypatch.setattr(bridge_module, "solve_bridge_action", refuse)
     # a stiff quadratic on a coarse grid: shooting fails on its own
-    P = Potential.quadratic_matrix(np.diag([0.2, 6.0]))
+    P = Potential.quadratic_matrix(np.diag([0.2, 30.0]))
     with pytest.raises(NoConvergence):
         solve_bridge_shooting(P, [1.0, -1.0], [0.5, 2.0], 10.0, SolverOptions(grid_points=201))
 
@@ -270,7 +271,7 @@ def sup_error_against_closed_form(kind, P, x, y, T, grid_points=None):
     return sol, float(np.max(np.abs(sol.trajectory.states - exact.states)))
 
 
-@pytest.mark.parametrize("T, segments", [(50.0, 10), (1000.0, 200)])
+@pytest.mark.parametrize("T, segments", [(50.0, 100), (1000.0, 2000)])
 def test_multiple_shooting_neglog_long_horizon_matches_closed_form(T, segments):
     sol, err = sup_error_against_closed_form(NEGLOG, Potential.neg_log(1), [1.0], [1.0], T)
     assert sol.context["segments"] == segments
@@ -280,7 +281,7 @@ def test_multiple_shooting_neglog_long_horizon_matches_closed_form(T, segments):
 
 def test_multiple_shooting_quadratic_beyond_single_shooting_reach():
     sol, err = sup_error_against_closed_form(QUAD, Potential.quadratic_isotropic(1), [2.0], [1.0], 200.0)
-    assert sol.context["segments"] == 40
+    assert sol.context["segments"] == 400
     assert err <= 1e-9
 
 
@@ -307,10 +308,107 @@ def test_multiple_shooting_segments_meet_within_the_boundary_tolerance(P, x, y, 
     assert np.array_equal(traj.states[0], x)
 
 
-def test_short_horizons_keep_single_shooting():
-    for P, T in ((Potential.neg_log(1), 5.0), (Potential.quadratic_isotropic(1), 5.0)):
-        sol = solve_bridge_shooting(P, [1.0], [1.2], T, SolverOptions(grid_points=501))
-        assert sol.context["segments"] == 1
+def _quadratic_custom(dim):
+    return Potential.custom(dim, lambda x: 0.5 * float(x @ x), lambda x: x.copy(),
+                            lambda x, v: v.copy(), rho=1.0)
+
+
+def test_short_segments_for_builtins_and_the_span_rule_alone_for_custom_potentials():
+    # 500 steps: builtins get 500 / SEGMENT_STEPS segments; a custom potential,
+    # whose rows loop in Python, keeps the SEGMENT_SPAN count, here 1
+    opts = SolverOptions(grid_points=501)
+    for P in (Potential.neg_log(1), Potential.quadratic_isotropic(1)):
+        assert P.batched_rows
+        sol = solve_bridge_shooting(P, [1.0], [1.2], 5.0, opts)
+        assert sol.context["segments"] == 500 // bridge_module.SEGMENT_STEPS == 10
+    custom = _quadratic_custom(1)
+    assert not custom.batched_rows
+    sol = solve_bridge_shooting(custom, [1.0], [1.2], 5.0, opts)
+    assert sol.context["segments"] == 1
+
+
+def _span_rule_count(P, T, steps):
+    """The segment count of the SEGMENT_SPAN rule alone."""
+    wanted = min(math.ceil(T * max(P.rho or 0.0, 1.0) / bridge_module.SEGMENT_SPAN), steps // 2)
+    return math.ceil(steps / math.ceil(steps / max(wanted, 1)))
+
+
+@pytest.mark.parametrize("P", [Potential.neg_log(2), Potential.quadratic_isotropic(1),
+                               Potential.quadratic_matrix(np.diag([0.5, 3.0]))],
+                         ids=["neg_log", "quadratic", "matrix"])
+def test_builtin_segments_are_short_and_at_least_the_span_count(P):
+    K = bridge_module.SEGMENT_STEPS
+    for T in (0.3, 1.0, 3.8, 10.0, 47.0, 200.0):
+        for steps in (2, 3, 7, 49, 50, 51, 380, 1001, 4000, 20000):
+            starts, k = bridge_module._segment_starts(P, T, steps)
+            assert k <= K and len(starts) >= _span_rule_count(P, T, steps)
+            # the segments cover the grid and the last one ends at T
+            assert starts[0] == 0 and starts[-1] + k == steps
+            assert np.all(np.diff(starts) <= k)
+
+
+def test_custom_potential_keeps_one_segment_at_the_far_cosh_geometry():
+    # the 2-D cosh case [1, 2] -> [0.5, -1] at T = 3.8 on the default grid
+    P = Potential.custom(2, lambda x: float(np.sum(np.cosh(x))), np.sinh,
+                         lambda x, v: np.cosh(x) * v, rho=1.0)
+    steps = SolverOptions().nodes(3.8) - 1
+    starts, k = bridge_module._segment_starts(P, 3.8, steps)
+    assert (len(starts), k) == (1, steps) == (_span_rule_count(P, 3.8, steps), steps)
+    assert len(bridge_module._segment_starts(_quadratic_custom(2), 3.8, steps)[0]) == 1
+
+
+def _dense_shooting_jacobian(jac):
+    """The n x n multiple-shooting Jacobian, n = 2dM - d, from the segment blocks."""
+    M, m, _ = jac.shape
+    d = m // 2
+    J = np.zeros((m * M, m * M))
+    for j in range(M):
+        J[m * j:m * j + m, m * j:m * j + m] = jac[j]
+        if j + 1 < M:
+            J[m * j:m * j + m, m * (j + 1):m * (j + 2)] = -np.eye(m)
+    # the first start position is pinned and the last landing is checked in position only
+    return J[:m * M - d, d:]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("M", [1, 2, 50])
+def test_shooting_block_solve_matches_the_dense_solve(d, M):
+    rng = np.random.default_rng(100 * d + M)
+    # landing maps of short segments are near the identity
+    jac = np.eye(2 * d) + 0.5 * rng.normal(size=(M, 2 * d, 2 * d))
+    jac[0, :, :d] = 0.0
+    r = rng.normal(size=2 * d * M - d)
+    dense = np.linalg.solve(_dense_shooting_jacobian(jac), -r)
+    step = bridge_module._shooting_step(jac, r)
+    assert np.max(np.abs(step - dense)) <= 1e-10 * np.max(np.abs(dense))
+
+
+@pytest.mark.parametrize("d, n", [(1, 1), (2, 3), (3, 40)])
+def test_block_tridiagonal_solve_matches_the_dense_solve(d, n):
+    rng = np.random.default_rng(10 * d + n)
+    L, D, U = rng.normal(size=(3, n, d, d))
+    b = rng.normal(size=(n, d))
+    A = np.zeros((n * d, n * d))
+    for i in range(n):
+        A[i * d:i * d + d, i * d:i * d + d] = D[i]
+        if i:
+            A[i * d:i * d + d, (i - 1) * d:i * d] = L[i]
+        if i + 1 < n:
+            A[i * d:i * d + d, (i + 1) * d:(i + 2) * d] = U[i]
+    dense = np.linalg.solve(A, b.ravel())
+    s = bridge_module._block_tridiagonal_solve(L, D, U, b).ravel()
+    assert np.max(np.abs(s - dense)) <= 1e-10 * np.max(np.abs(dense))
+
+
+def test_singular_block_raises_linalg_error():
+    # a segment whose landing ignores its start makes the system singular
+    jac = np.random.default_rng(7).normal(size=(3, 4, 4))
+    jac[1] = 0.0
+    with pytest.raises(np.linalg.LinAlgError):
+        bridge_module._shooting_step(jac, np.ones(10))
+    zero = np.zeros((4, 2, 2))
+    with pytest.raises(np.linalg.LinAlgError):
+        bridge_module._block_tridiagonal_solve(zero, zero, zero, np.ones((4, 2)))
 
 
 # -- action minimization --------------------------------------------------------

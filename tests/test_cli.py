@@ -146,7 +146,7 @@ def test_solver_failure_exit_code(tmp_path):
     # a stiff quadratic on a coarse grid, which shooting cannot solve
     bad = {
         **BASE,
-        "potential": {"kind": "quadratic_matrix", "matrix": [[0.2, 0.0], [0.0, 6.0]]},
+        "potential": {"kind": "quadratic_matrix", "matrix": [[0.2, 0.0], [0.0, 30.0]]},
         "endpoints": {"x": [1.0, -1.0], "y": [0.5, 2.0]},
         "T_values": [5.0, 10.0],
         "solver": {"method": "shooting", "grid_points": 201},

@@ -54,6 +54,20 @@ def test_action_cost_matches_quadratic_closed_form():
     )
 
 
+@pytest.mark.parametrize("kind, P, x, y, T", [
+    (QUAD, Potential.quadratic_isotropic(1), [2.0], [1.0], 5.0),
+    (NEGLOG, Potential.neg_log(1), [1.0], [1.0], 5.0),
+])
+def test_action_cost_is_fourth_order_on_exact_bridges(kind, P, x, y, T):
+    # the Euler-Maclaurin end term removes the trapezoid's h^2 error, so
+    # halving the step divides the error by about 16
+    exact = closed_form_cost(kind, x, y, T)
+    errors = [abs(action_cost(closed_form_bridge_trajectory(kind, x, y, T, steps), P) - exact)
+              for steps in (100, 200)]
+    assert errors[1] <= 1e-7 * exact
+    assert 14.0 <= errors[0] / errors[1] <= 18.0
+
+
 def test_action_cost_neglog_long_horizon_log_growth():
     # dual route: trapezoid quadrature over the exact trajectory against the
     # antiderivative-based closed form, then the logarithmic growth band

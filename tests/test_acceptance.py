@@ -146,7 +146,7 @@ def test_criterion_5_bound_catalogue_zero_failures():
                 # the landing map moves by sinh(rho T) ulp per representable
                 # velocity, and the logarithmic-cost bound at this horizon has
                 # an O(1e-8) true margin, so this case runs on the exact
-                # trajectory sampled finely enough for the trapezoid bias
+                # trajectory, sampled finely
                 opts = SolverOptions(grid_points=400001)
                 sol = closed_form_solution(kind, P, x, y, T, 400000)
             else:
@@ -165,8 +165,9 @@ def test_criterion_5_bound_catalogue_zero_failures():
 
 def test_criterion_5_companion_catalogue_on_solved_quadratic_at_T20():
     # the case criterion 5 takes from the closed form, solved by multiple
-    # shooting instead; B9's true margin here is about 3.3e-8, so the grid
-    # keeps the trapezoid cost bias (about 2.6e-8 at h = 1.25e-4) below it
+    # shooting instead; B9's true margin here is about 3.3e-8, and the grid
+    # was sized to keep the plain trapezoid's bias (about 2.6e-8 at
+    # h = 1.25e-4) below it
     P = Potential.quadratic_isotropic(1)
     opts = SolverOptions(grid_points=160001)
     sol = solve_bridge_shooting(P, [2.0], [1.0], 20.0, opts)

@@ -185,10 +185,18 @@ def solve_bridge_shooting(P: Potential, x, y, T: float, opts: SolverOptions | No
     Each start runs ``_damped_newton``, which owns every escape and
     overflow of an integration. The Jacobian is block bidiagonal: each
     segment's 2d x 2d landing-map Jacobian, by forward differences with step
-    1e-6*(1+|s|) for a segment's unknowns s, all integrated as one batch and
-    only at an iterate that misses the tolerance, and minus the identity for
-    the next segment's start. ``_block_tridiagonal_solve`` solves it in
-    O(M d^3) without forming the n x n matrix. ``context["restarts"]`` is
+    1e-6*(1+|s|) for a segment's unknowns s, all integrated as one batch,
+    and minus the identity for the next segment's start.
+    ``_block_tridiagonal_solve`` solves it in O(M d^3) without forming the
+    n x n matrix. For a potential with ``batched_rows`` every evaluated
+    iterate advances its M segment starts and the n perturbed starts as one
+    batch, since an RK4 step costs about the same whatever the batch width;
+    if that batch leaves the domain or overflows, the iterate is judged on
+    its M rows alone and ``newton_step`` integrates the Jacobian by itself,
+    so the loop makes the decisions two passes would. A custom potential
+    evaluates rows in a Python loop, so it integrates the Jacobian only at
+    an iterate that misses the tolerance, sparing the rows of line-search
+    trials and of the converged iterate. ``context["restarts"]`` is
     the index of the start that converged and ``context["segments"]`` is M.
     """
     opts = opts or SolverOptions()
@@ -211,28 +219,53 @@ def solve_bridge_shooting(P: Potential, x, y, T: float, opts: SolverOptions | No
     def initial_states(u):
         return np.concatenate([x, u]).reshape(M, 2 * d)
 
-    def landing_error(u):
-        """Sup-norm error of u, with its (k + 1, M, 2d) segment paths and residuals."""
-        Z = initial_states(u)
-        paths = _integrate_phase(P, Z, span, k)
-        # each segment must reach the next one's start, the last y
-        r = paths[meet, np.arange(M)].ravel()[:n] - np.concatenate([Z[1:].ravel(), y])
-        return float(np.max(np.abs(r))), (paths, r)
-
-    def newton_step(u, data):
-        """Newton step through the forward-difference segment Jacobians."""
-        paths, r = data
-        Z = initial_states(u)
+    def perturbed_rows(Z):
+        """Each unknown's segment start with that unknown moved by its
+        forward-difference step fd = 1e-6*(1+|s|); returns (rows (n, 2d), fd)."""
         scale = np.linalg.norm(Z, axis=1)
         scale[0] = np.linalg.norm(Z[0, d:])
         fd = 1e-6 * (1.0 + scale[seg])
         rows = Z[seg]
         rows[np.arange(n), comp] += fd
-        end = _integrate_phase(P, rows, span, k)[meet[seg], np.arange(n)]
-        # the first segment's start position is x, so its block keeps only
-        # the velocity columns
+        return rows, fd
+
+    def jacobian_blocks(moved, paths, fd):
+        """The (M, 2d, 2d) landing-map Jacobians from the (k + 1, n, 2d) paths
+        of the perturbed rows; the first segment's start position is x, so
+        its block keeps only the velocity columns."""
         jac = np.zeros((M, 2 * d, 2 * d))
+        end = moved[meet[seg], np.arange(n)]
         jac[seg, :, comp] = (end - paths[meet[seg], seg]) / fd[:, None]
+        return jac
+
+    def landing_error(u):
+        """Sup-norm error of u, with its (k + 1, M, 2d) segment paths, its
+        residuals and, when the merged batch ran, its Jacobian blocks."""
+        Z = initial_states(u)
+        jac = None
+        if P.batched_rows:
+            rows, fd = perturbed_rows(Z)
+            try:
+                batch = _integrate_phase(P, np.concatenate([Z, rows]), span, k)
+            except (DomainEscape, NonFinite):
+                # a perturbed row failed: judge the trial by its own rows,
+                # and leave the Jacobian to newton_step
+                paths = _integrate_phase(P, Z, span, k)
+            else:
+                paths = batch[:, :M]
+                jac = jacobian_blocks(batch[:, M:], paths, fd)
+        else:
+            paths = _integrate_phase(P, Z, span, k)
+        # each segment must reach the next one's start, the last y
+        r = paths[meet, np.arange(M)].ravel()[:n] - np.concatenate([Z[1:].ravel(), y])
+        return float(np.max(np.abs(r))), (paths, r, jac)
+
+    def newton_step(u, data):
+        """Newton step through the forward-difference segment Jacobians."""
+        paths, r, jac = data
+        if jac is None:
+            rows, fd = perturbed_rows(initial_states(u))
+            jac = jacobian_blocks(_integrate_phase(P, rows, span, k), paths, fd)
         return _shooting_step(jac, r)
 
     # starting guesses, each built only when the one before it has failed

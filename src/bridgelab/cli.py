@@ -34,29 +34,38 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: Path, header: list[str], lines) -> None:
+    """Write the header, then each formatted line of `lines` as it comes."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.writelines(lines)
+
+
+def _fmt_lines(rows):
+    """CSV lines of mixed-type rows, one `_fmt` per value."""
+    return (",".join(_fmt(v) for v in row) + "\n" for row in rows)
 
 
 def _write_trajectory(path: Path, traj, P: Potential) -> None:
-    """One row per node: t, the state, the velocity, E and |F'(x) + v|."""
+    """One row per node: t, the state, the velocity, E and |F'(x) + v|.
+
+    Every column is a float, so a row is one %-format: "%.17g" renders a
+    float exactly as `_fmt` does.
+    """
     grads = P.grad_many(traj.states)
     energy = energy_stats(traj, grads).samples[:, 1]
     phi_norm = np.linalg.norm(grads + traj.velocities, axis=1)
     header = (["t"] + [f"x_{j + 1}" for j in range(P.dim)]
               + [f"v_{j + 1}" for j in range(P.dim)] + ["E", "phi_norm"])
-    rows = [[t, *x, *v, e, p]
-            for t, x, v, e, p in zip(traj.times, traj.states, traj.velocities, energy, phi_norm)]
-    _write_csv(path, header, rows)
+    table = np.column_stack([traj.times, traj.states, traj.velocities, energy, phi_norm])
+    line = ",".join(["%.17g"] * len(header)) + "\n"
+    _write_csv(path, header, (line % tuple(row) for row in table.tolist()))
 
 
 def _write_cases(path: Path, columns: list[str], cases: list[dict]) -> None:
     """One row per summary case, read through `columns`; a missing entry is blank."""
-    _write_csv(path, columns, [[case.get(c, "") for c in columns] for case in cases])
+    _write_csv(path, columns, _fmt_lines([case.get(c, "") for c in columns] for case in cases))
 
 
 def _gfmt(T: float) -> str:
@@ -208,7 +217,7 @@ def run(config: ExperimentConfig, *, keep_going: bool = False, threads: int = 1,
                        key=_bound_order)
         cases.extend(_solution_diagnostics(T, sol) for T, (sol, _) in results.items())
         _write_csv(csv_dir / f"{config.name}_bounds.csv", BOUND_COLUMNS,
-                   [_bound_row(T, rep) for T, rep in pairs])
+                   _fmt_lines(_bound_row(T, rep) for T, rep in pairs))
         n_pass = sum(rep.passed for _, rep in pairs)
         summary["bounds"] = {
             "n_pass": n_pass,
@@ -252,7 +261,7 @@ def run(config: ExperimentConfig, *, keep_going: bool = False, threads: int = 1,
         _write_csv(
             csv_dir / f"{config.name}_fits.csv",
             ["series", "model", "exponent", "prefactor", "residual"],
-            fit_rows,
+            _fmt_lines(fit_rows),
         )
 
     else:  # pragma: no cover - parse_config already rejects unknown modes

@@ -357,6 +357,75 @@ def test_custom_potential_keeps_one_segment_at_the_far_cosh_geometry():
     assert len(bridge_module._segment_starts(_quadratic_custom(2), 3.8, steps)[0]) == 1
 
 
+def _unmerged_twin(P):
+    """P with ``batched_rows`` off: the same callables, shot in two passes
+    per iterate (landing map, then Jacobian)."""
+    return Potential(P.kind, P.dim, rho=P.rho, n_dim=P.n_dim, domain=P.domain,
+                     value_fn=P._value_fn, grad_fn=P._grad_fn,
+                     hess_apply_fn=P._hess_apply_fn, force_fn=P.force_fn,
+                     minimizer=P.minimizer, batched_rows=False)
+
+
+# both segment rules give the same M here, so the twin shoots the same segments
+MERGE_CASES = [
+    (Potential.quadratic_isotropic(1), [2.0], [1.0], 20.0, 201, 4, (2, 3)),
+    (Potential.neg_log(1), [1.0], [1.5], 15.0, 151, 3, (6, 11)),
+]
+
+
+def _counting_phase(monkeypatch, fail_above=None):
+    """Count ``_integrate_phase`` calls; a batch of more than ``fail_above``
+    rows raises DomainEscape."""
+    calls = []
+    phase = bridge_module._integrate_phase
+
+    def counted(P, Z0, T, steps):
+        calls.append(len(Z0))
+        if fail_above is not None and len(Z0) > fail_above:
+            raise DomainEscape("patched: batch wider than the segment count")
+        return phase(P, Z0, T, steps)
+
+    monkeypatch.setattr(bridge_module, "_integrate_phase", counted)
+    return calls
+
+
+@pytest.mark.parametrize("P, x, y, T, nodes, M, counts", MERGE_CASES, ids=["quadratic", "neg_log"])
+def test_merged_landing_and_jacobian_batch_matches_two_passes(monkeypatch, P, x, y, T, nodes,
+                                                              M, counts):
+    opts = SolverOptions(method="shooting", grid_points=nodes)
+    twin = _unmerged_twin(P)
+    calls = _counting_phase(monkeypatch)
+    merged = solve_bridge_shooting(P, x, y, T, opts)
+    n_merged = len(calls)
+    separate = solve_bridge_shooting(twin, x, y, T, opts)
+    assert merged.context["segments"] == separate.context["segments"] == M
+    assert np.array_equal(merged.trajectory.states, separate.trajectory.states)
+    assert np.array_equal(merged.trajectory.velocities, separate.trajectory.velocities)
+    assert merged.cost == separate.cost
+    assert merged.boundary_error == separate.boundary_error
+    assert merged.iterations == separate.iterations
+    # one batch per evaluation against an extra Jacobian pass per Newton step
+    assert (n_merged, len(calls) - n_merged) == counts
+    assert counts[1] == counts[0] + merged.iterations - 1
+    assert set(calls[:n_merged]) == {M + 2 * P.dim * M - P.dim}
+
+
+@pytest.mark.parametrize("P, x, y, T, nodes, M, counts", MERGE_CASES, ids=["quadratic", "neg_log"])
+def test_failed_merged_batch_keeps_every_newton_decision(monkeypatch, P, x, y, T, nodes, M,
+                                                         counts):
+    # every batch wider than the segment starts escapes: the merged solve
+    # must end as the two-pass solve does, with no step after its start
+    opts = SolverOptions(method="shooting", grid_points=nodes)
+    _counting_phase(monkeypatch, fail_above=M)
+    outcomes = []
+    for potential in (P, _unmerged_twin(P)):
+        with pytest.raises(NoConvergence) as info:
+            solve_bridge_shooting(potential, x, y, T, opts)
+        outcomes.append(str(info.value))
+    assert outcomes[0] == outcomes[1]
+    assert "after 1 iterations" in outcomes[0]
+
+
 def _dense_shooting_jacobian(jac):
     """The n x n multiple-shooting Jacobian, n = 2dM - d, from the segment blocks."""
     M, m, _ = jac.shape

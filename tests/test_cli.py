@@ -13,6 +13,8 @@ from bridgelab import (NoConvergence, OffGrid, Potential, SolverOptions, gradien
 from bridgelab.cli import main
 from bridgelab.config import builtin_config_names, load_builtin_config, resolve_config
 from bridgelab.errors import ConfigError
+from bridgelab.flow import Trajectory
+from bridgelab.functionals import energy_stats
 
 
 def write_config(tmp_path: Path, data: dict) -> Path:
@@ -355,3 +357,24 @@ def test_float_format_roundtrips(tmp_path):
     # 17 significant digits: re-parsing and re-formatting is the identity
     for cell in lines[len(lines) // 2].split(","):
         assert format(float(cell), ".17g") == cell
+
+
+def test_trajectory_csv_renders_every_value_as_fmt_does(tmp_path):
+    # awkward floats: a signed zero, the smallest subnormal, a huge value
+    # (whose square overflows in E) and a repeating fraction
+    P = Potential.quadratic_isotropic(2)
+    third = 1.0 / 3.0
+    traj = Trajectory([0.0, third, 1.0],
+                      [[-0.0, 5e-324], [1e300, third], [third, -0.0]],
+                      [[5e-324, -0.0], [third, 1e300], [-0.0, 1e300]])
+    path = tmp_path / "traj.csv"
+    with np.errstate(over="ignore", invalid="ignore"):
+        cli_module._write_trajectory(path, traj, P)
+        grads = P.grad_many(traj.states)
+        energy = energy_stats(traj, grads).samples[:, 1]
+        phi = np.linalg.norm(grads + traj.velocities, axis=1)
+    expected = "t,x_1,x_2,v_1,v_2,E,phi_norm\n" + "".join(
+        ",".join(cli_module._fmt(v) for v in [t, *x, *v, e, p]) + "\n"
+        for t, x, v, e, p in zip(traj.times, traj.states, traj.velocities, energy, phi))
+    assert path.read_text(encoding="utf-8") == expected
+    assert "-0," in expected and "4.9406564584124654e-324" in expected

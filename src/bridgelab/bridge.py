@@ -179,8 +179,9 @@ def solve_bridge_shooting(P: Potential, x, y, T: float, opts: SolverOptions | No
     that long bridges follow. With M > 1 it starts from the paper's
     long-time picture (the turnpike seed): segment states on [0, T/2]
     follow the gradient flow from x with velocity -F', those on (T/2, T]
-    the reversed flow from y with velocity +F'; both flows run as one batch
-    on the solve's grid.
+    the reversed flow from y with velocity +F'; both flows run as one batch,
+    only up to the segment starts, with a step sized by the curvature of F
+    at x and y (``_turnpike_seed``).
 
     Each start runs ``_damped_newton``, which owns every escape and
     overflow of an integration. The Jacobian is block bidiagonal: each
@@ -323,19 +324,35 @@ def _shooting_step(jac: np.ndarray, r: np.ndarray) -> np.ndarray:
     return _block_tridiagonal_solve(L, D, U, b).ravel()[d:]
 
 
+#: The turnpike seed integrates its flows with steps of at most
+#: max(h, TURNPIKE_STEP / lam), h the solve's grid step and lam the largest
+#: eigenvalue of F'' at x and y, so step * lam stays below
+#: max(h * lam, TURNPIKE_STEP), inside RK4's stability interval.
+TURNPIKE_STEP = 0.5
+
+
 def _turnpike_seed(P: Potential, x, y, T: float, steps: int, starts) -> np.ndarray:
     """Multiple-shooting unknowns from the gradient flows out of x and into y.
 
     A segment starting at node s <= steps/2 takes the state of the flow from
     x there with velocity -F'; a later one the state of the flow from y at
-    node steps - s with velocity +F' (that flow reversed in time).
+    node steps - s with velocity +F' (that flow reversed in time). Both
+    flows run as one batch in ``gradient_flow``'s stop-time form, only up to
+    the nodes read, with steps of at most max(h, TURNPIKE_STEP / lam) (never
+    finer than the solve's grid step h).
     """
-    half = steps // 2
-    from_x, from_y = gradient_flow(P, np.array([x, y]), half * (T / steps), half)
-    Z = [np.concatenate([from_x.states[s], from_x.velocities[s]]) if 2 * s <= steps
-         else np.concatenate([from_y.states[steps - s], -from_y.velocities[steps - s]])
-         for s in starts]
-    return np.concatenate(Z)[P.dim:]
+    h = T / steps
+    node = np.where(2 * starts <= steps, starts, steps - starts)
+    read = np.unique(node)
+    lam = float(np.max(np.linalg.eigvalsh(np.array([P.hessian(x), P.hessian(y)]))))
+    step = max(h, TURNPIKE_STEP / lam) if lam > 0 else math.inf
+    from_x, from_y = gradient_flow(P, np.array([x, y]), read[-1] * h, stops=read[1:] * h,
+                                   max_step=step)
+    at = np.searchsorted(read, node)
+    Z = np.where((2 * starts <= steps)[:, None],
+                 np.hstack([from_x.states[at], from_x.velocities[at]]),
+                 np.hstack([from_y.states[at], -from_y.velocities[at]]))
+    return Z.ravel()[P.dim:]
 
 
 # -- stationary discrete action ------------------------------------------------

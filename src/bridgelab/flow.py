@@ -81,7 +81,8 @@ def default_steps(T: float) -> int:
     return int(math.ceil(max(100.0, 100.0 * T)))
 
 
-def gradient_flow(P: Potential, x0, T: float, steps: int | None = None):
+def gradient_flow(P: Potential, x0, T: float, steps: int | None = None, *,
+                  stops=None, max_step: float | None = None):
     """Integrate dS/dt = -F'(S) from x0 over [0, T] with classical RK4.
 
     ``x0`` is one point (d,), which gives one Trajectory, or rows (m, d) of
@@ -90,20 +91,45 @@ def gradient_flow(P: Potential, x0, T: float, steps: int | None = None):
     heuristic ``ceil(max(100, 100 T))``). Node velocities are -F'(state).
     For positive-orthant potentials a step that leaves the orthant raises
     DomainEscape.
+
+    Stop-time form: given ``stops``, strictly increasing times in (0, T],
+    and ``max_step``, the flow is integrated only up to the last stop and
+    its nodes are 0 and the stops, exactly. The gap before each stop is
+    integrated in ceil(gap / max_step) equal RK4 steps (one for an infinite
+    ``max_step``), all rows as one batch; ``steps`` is not used. A row of a
+    batch still follows exactly the path it would follow on its own.
     """
     points = np.asarray(x0, dtype=float)
     batch = points.ndim == 2
     starts = np.array([P.check_domain(p) for p in (points if batch else [x0])])
     if T <= 0:
         raise ValueError("T must be positive")
-    if steps is None:
-        steps = default_steps(T)
-    if steps < 2:
-        raise ValueError("steps must be >= 2")
 
     feasible = P.in_domain if P.domain != ALL_SPACE else None
-    states = integrate_grid(lambda X: -P.grad_many(X), starts, T, steps, feasible)
-    times = np.linspace(0.0, T, steps + 1)
+
+    def rhs(X):
+        return -P.grad_many(X)
+
+    if stops is None:
+        if steps is None:
+            steps = default_steps(T)
+        if steps < 2:
+            raise ValueError("steps must be >= 2")
+        states = integrate_grid(rhs, starts, T, steps, feasible)
+        times = np.linspace(0.0, T, steps + 1)
+    else:
+        times = np.concatenate([[0.0], np.asarray(stops, dtype=float)])
+        gaps = np.diff(times)
+        if times.size < 2 or not (np.all(gaps > 0) and times[-1] <= T):
+            raise ValueError("stops must be strictly increasing times in (0, T]")
+        if max_step is None or not max_step > 0.0:
+            raise ValueError("max_step must be positive")
+        states = [starts]
+        for gap in gaps:
+            # a gap that is a whole number of max_steps up to rounding takes that many
+            n = max(math.ceil(gap / max_step * (1.0 - UNIFORMITY_RTOL)), 1)
+            states.append(integrate_grid(rhs, states[-1], gap, n, feasible)[-1])
+        states = np.array(states)
     paths = np.moveaxis(states, 1, 0).copy()  # one contiguous path per start
     flows = [Trajectory(times, path, -P.grad_many(path)) for path in paths]
     return flows if batch else flows[0]

@@ -271,6 +271,10 @@ class Potential:
             raise ValueError("direction must be finite")
         return np.asarray(self._hess_apply_fn(x, v), dtype=float)
 
+    def hessian(self, x) -> np.ndarray:
+        """F''(x) as a (d, d) matrix, one ``hess_apply`` per column."""
+        return np.column_stack([self.hess_apply(x, e) for e in np.eye(self.dim)])
+
     def hess_grad(self, x) -> np.ndarray:
         """F''(x) F'(x), the force field of the Newton boundary-value problem.
 
@@ -327,8 +331,7 @@ class Potential:
             return float(np.max(np.abs(g))), g
 
         def newton_step(x, g):
-            H = np.column_stack([self.hess_apply(x, e) for e in np.eye(self.dim)])
-            return np.linalg.solve(H, -g)
+            return np.linalg.solve(self.hessian(x), -g)
 
         x, err, _, _ = _damped_newton(gradient, newton_step, x, 1e-10)
         if not err < 1e-8:

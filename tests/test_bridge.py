@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import bridgelab.bridge as bridge_module
+import bridgelab.flow as flow_module
 from bridgelab import (
     DomainEscape,
     NoConvergence,
@@ -21,6 +22,7 @@ from bridgelab import (
     solve_bridge_action,
     solve_bridge_shooting,
 )
+from bridgelab._integrate import integrate_grid
 from bridgelab.flow import Trajectory
 from bridgelab.potential import POSITIVE_ORTHANT
 
@@ -272,11 +274,30 @@ def sup_error_against_closed_form(kind, P, x, y, T, grid_points=None):
 
 
 @pytest.mark.parametrize("T, segments", [(50.0, 100), (1000.0, 2000)])
-def test_multiple_shooting_neglog_long_horizon_matches_closed_form(T, segments):
+def test_multiple_shooting_neglog_long_horizon_matches_closed_form(monkeypatch, T, segments):
+    seed_steps = []
+
+    def counted(rhs, z0, span, steps, feasible=None):
+        seed_steps.append(steps)
+        return integrate_grid(rhs, z0, span, steps, feasible)
+
+    # only the turnpike seed's gradient flows integrate through the flow module
+    monkeypatch.setattr(flow_module, "integrate_grid", counted)
     sol, err = sup_error_against_closed_form(NEGLOG, Potential.neg_log(1), [1.0], [1.0], T)
     assert sol.context["segments"] == segments
     assert sol.trajectory.n_nodes == 100 * int(T) + 1  # the default grid
     assert err <= 1e-8
+    # flows on the solve's grid took (n_nodes - 1) // 2 steps: 50 000 at T = 1000
+    assert 0 < sum(seed_steps) < 0.05 * ((sol.trajectory.n_nodes - 1) // 2)
+
+
+@pytest.mark.parametrize("T, segments", [(5.0, 10), (20.0, 40)])
+def test_multiple_shooting_lands_a_stiff_axis_in_one_newton_step(T, segments):
+    # F'' = diag(1, 25): the seed's step is TURNPIKE_STEP / 25, twice the grid step
+    P = Potential.quadratic_matrix(np.diag([1.0, 25.0]))
+    sol = solve_bridge_shooting(P, [1.0, -0.5], [0.3, 1.5], T)
+    assert sol.context["segments"] == segments
+    assert sol.iterations == 2 and sol.boundary_error < 1e-9
 
 
 def test_multiple_shooting_quadratic_beyond_single_shooting_reach():

@@ -347,10 +347,11 @@ def _turnpike_seed(P: Potential, x, y, T: float, steps: int, starts) -> np.ndarr
     node = np.where(early, starts, steps - starts)
     # sorted(set(...)), not np.unique, whose first call pages in about 0.6 MB of code
     read = np.array(sorted(set(node.tolist())))
+    span = read[-1] * h
     lam = float(np.max(np.linalg.eigvalsh(np.array([P.hessian(x), P.hessian(y)]))))
-    step = max(h, TURNPIKE_STEP / lam) if lam > 0 else math.inf
-    from_x, from_y = gradient_flow(P, np.array([x, y]), read[-1] * h, stops=read[1:] * h,
-                                   max_step=step)
+    # a flat F (lam = 0) takes one step per gap
+    step = max(h, TURNPIKE_STEP / lam) if lam > 0 else span
+    from_x, from_y = gradient_flow(P, np.array([x, y]), span, stops=read[1:] * h, max_step=step)
     at = np.searchsorted(read, node)
     Z = np.where(early[:, None],
                  np.hstack([from_x.states[at], from_x.velocities[at]]),

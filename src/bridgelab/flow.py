@@ -95,9 +95,9 @@ def gradient_flow(P: Potential, x0, T: float, steps: int | None = None, *,
     Stop-time form: given ``stops``, strictly increasing times in (0, T],
     and ``max_step``, the flow is integrated only up to the last stop and
     its nodes are 0 and the stops, exactly. The gap before each stop is
-    integrated in ceil(gap / max_step) equal RK4 steps (one for an infinite
-    ``max_step``), all rows as one batch; ``steps`` is not used. A row of a
-    batch still follows exactly the path it would follow on its own.
+    integrated in ceil(gap / max_step) equal RK4 steps, all rows as one
+    batch; ``steps`` is not used. A row of a batch still follows exactly the
+    path it would follow on its own.
     """
     points = np.asarray(x0, dtype=float)
     batch = points.ndim == 2
@@ -122,12 +122,12 @@ def gradient_flow(P: Potential, x0, T: float, steps: int | None = None, *,
         gaps = np.diff(times)
         if times.size < 2 or not (np.all(gaps > 0) and times[-1] <= T):
             raise ValueError("stops must be strictly increasing times in (0, T]")
-        if max_step is None or not max_step > 0.0:
-            raise ValueError("max_step must be positive")
+        if max_step is None or not 0.0 < max_step < math.inf:
+            raise ValueError("max_step must be finite and positive")
         states = [starts]
         for gap in gaps:
             # a gap that is a whole number of max_steps up to rounding takes that many
-            n = max(math.ceil(gap / max_step * (1.0 - UNIFORMITY_RTOL)), 1)
+            n = math.ceil(gap / max_step * (1.0 - UNIFORMITY_RTOL))
             states.append(integrate_grid(rhs, states[-1], gap, n, feasible)[-1])
         states = np.array(states)
     paths = np.moveaxis(states, 1, 0).copy()  # one contiguous path per start

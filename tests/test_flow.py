@@ -93,7 +93,7 @@ def test_stop_time_flow_has_each_stop_as_a_node_and_cuts_gaps_by_max_step(monkey
 
 @pytest.mark.parametrize("stops, max_step", [
     ([0.5, 0.5], 0.3), ([0.0, 1.0], 0.3), ([0.5, 3.0], 0.3), ([], 0.3), ([0.5, 1.0], 0.0),
-    ([0.5, 1.0], None),
+    ([0.5, 1.0], math.inf), ([0.5, 1.0], None),
 ])
 def test_stop_time_flow_rejects_bad_stops_and_steps(stops, max_step):
     with pytest.raises(ValueError):

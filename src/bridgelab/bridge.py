@@ -181,7 +181,8 @@ def solve_bridge_shooting(P: Potential, x, y, T: float, opts: SolverOptions | No
     follow the gradient flow from x with velocity -F', those on (T/2, T]
     the reversed flow from y with velocity +F'; both flows run as one batch,
     only up to the segment starts, with a step sized by the curvature of F
-    at x and y (``_turnpike_seed``).
+    at x and y, or on the solve's grid where that curvature is not positive
+    or rises at a read state (``_turnpike_seed``).
 
     Each start runs ``_damped_newton``, which owns every escape and
     overflow of an integration. The Jacobian is block bidiagonal: each
@@ -326,10 +327,16 @@ def _shooting_step(jac: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 #: The turnpike seed integrates its flows with steps of at most
 #: max(h, TURNPIKE_STEP / lam), h the solve's grid step and lam the largest
-#: eigenvalue of F'' at x and y, so step * lam is at most
-#: max(h * lam, TURNPIKE_STEP): well inside RK4's stability interval
-#: (about 2.79) wherever the solve's own step is.
+#: eigenvalue of F'' at x and y. While F'' along both flows stays at or
+#: below lam, step * lam is at most max(h * lam, TURNPIKE_STEP): well inside
+#: RK4's stability interval (about 2.79) wherever the solve's own step is.
 TURNPIKE_STEP = 0.5
+
+
+def _largest_curvature(P: Potential, points) -> float:
+    """Largest eigenvalue of F'' over the points (d ``hess_apply`` calls
+    each, one ``eigvalsh``)."""
+    return float(np.max(np.linalg.eigvalsh(np.array([P.hessian(p) for p in points]))))
 
 
 def _turnpike_seed(P: Potential, x, y, T: float, steps: int, starts) -> np.ndarray:
@@ -339,19 +346,33 @@ def _turnpike_seed(P: Potential, x, y, T: float, steps: int, starts) -> np.ndarr
     x there with velocity -F'; a later one the state of the flow from y at
     node steps - s with velocity +F' (that flow reversed in time). Both
     flows run as one batch in ``gradient_flow``'s stop-time form, only up to
-    the nodes read, with steps of at most max(h, TURNPIKE_STEP / lam) (never
-    finer than the solve's grid step h).
+    the nodes read. The step is max(h, TURNPIKE_STEP / lam), lam the largest
+    eigenvalue of F'' at x and y, or the solve's grid step h when lam <= 0.
+    A coarser step is kept only when the flows stay in the domain and F'' at
+    every read state is at most lam (constant for quadratics, falling along
+    the outward neg-log flow); otherwise both flows are run again at h.
     """
     h = T / steps
     early = 2 * starts <= steps
     node = np.where(early, starts, steps - starts)
     # sorted(set(...)), not np.unique, whose first call pages in about 0.6 MB of code
     read = np.array(sorted(set(node.tolist())))
-    span = read[-1] * h
-    lam = float(np.max(np.linalg.eigvalsh(np.array([P.hessian(x), P.hessian(y)]))))
-    # a flat F (lam = 0) takes one step per gap
-    step = max(h, TURNPIKE_STEP / lam) if lam > 0 else span
-    from_x, from_y = gradient_flow(P, np.array([x, y]), span, stops=read[1:] * h, max_step=step)
+    ends = np.array([x, y])
+    lam = _largest_curvature(P, ends)
+    step = max(h, TURNPIKE_STEP / lam) if lam > 0 else h
+
+    def flows(max_step):
+        return gradient_flow(P, ends, read[-1] * h, stops=read[1:] * h, max_step=max_step)
+
+    pair = None
+    if step > h:
+        try:
+            pair = flows(step)
+        except (DomainEscape, NonFinite):
+            pass
+        if pair is not None and _largest_curvature(P, np.vstack([f.states for f in pair])) > lam:
+            pair = None
+    from_x, from_y = pair or flows(h)
     at = np.searchsorted(read, node)
     Z = np.where(early[:, None],
                  np.hstack([from_x.states[at], from_x.velocities[at]]),

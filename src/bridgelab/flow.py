@@ -96,8 +96,8 @@ def gradient_flow(P: Potential, x0, T: float, steps: int | None = None, *,
     and ``max_step``, the flow is integrated only up to the last stop and
     its nodes are 0 and the stops, exactly. The gap before each stop is
     integrated in ceil(gap / max_step) equal RK4 steps, all rows as one
-    batch; ``steps`` is not used. A row of a batch still follows exactly the
-    path it would follow on its own.
+    batch; giving ``steps`` too raises ValueError. A row of a batch still
+    follows exactly the path it would follow on its own.
     """
     points = np.asarray(x0, dtype=float)
     batch = points.ndim == 2
@@ -118,6 +118,8 @@ def gradient_flow(P: Potential, x0, T: float, steps: int | None = None, *,
         states = integrate_grid(rhs, starts, T, steps, feasible)
         times = np.linspace(0.0, T, steps + 1)
     else:
+        if steps is not None:
+            raise ValueError("give steps or stops, not both")
         times = np.concatenate([[0.0], np.asarray(stops, dtype=float)])
         gaps = np.diff(times)
         if times.size < 2 or not (np.all(gaps > 0) and times[-1] <= T):

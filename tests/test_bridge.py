@@ -23,7 +23,7 @@ from bridgelab import (
     solve_bridge_shooting,
 )
 from bridgelab._integrate import integrate_grid
-from bridgelab.flow import Trajectory
+from bridgelab.flow import Trajectory, gradient_flow
 from bridgelab.potential import POSITIVE_ORTHANT
 
 QUAD = "quadratic_isotropic"
@@ -289,6 +289,43 @@ def test_multiple_shooting_neglog_long_horizon_matches_closed_form(monkeypatch, 
     assert err <= 1e-8
     # flows on the solve's grid took (n_nodes - 1) // 2 steps: 50 000 at T = 1000
     assert 0 < sum(seed_steps) < 0.05 * ((sol.trajectory.n_nodes - 1) // 2)
+
+
+def _double_well():
+    """F = (x^2 - 1)^2 / 4: F'' = 3 x^2 - 1 is negative inside |x| < 1/sqrt(3)
+    and rises to 2 at the minimizers x = 1 and -1."""
+    return Potential.custom(1, lambda x: float((x[0] ** 2 - 1.0) ** 2 / 4.0),
+                            lambda x: x ** 3 - x, lambda x, v: (3.0 * x ** 2 - 1.0) * v)
+
+
+@pytest.mark.parametrize("P, x, y, segments, iterations", [
+    (_double_well(), [0.1], [0.1], 4, 7),  # F''(0.1) < 0
+    (Potential.quadratic_matrix(np.zeros((2, 2))), [1.0, -0.5], [0.3, 1.5], 40, 2),  # F'' = 0
+])
+def test_turnpike_seed_without_positive_curvature_runs_on_the_grid(P, x, y, segments, iterations):
+    sol = solve_bridge_shooting(P, x, y, 20.0)
+    assert sol.context["segments"] == segments
+    assert sol.iterations == iterations and sol.boundary_error < 1e-9
+
+
+@pytest.mark.parametrize("P, x0", [
+    # F''(2) = 0.07 allows a step of 7 by the endpoint rule; along the flow
+    # toward 0, F'' rises to 1, and one step of 5 lands at 1.0, not 0.02
+    (Potential.custom(1, lambda x: float(np.log(np.cosh(x[0]))), np.tanh,
+                      lambda x, v: v / np.cosh(x) ** 2), 2.0),
+    # F''(0.6) = 0.08 allows 6.25; F'' rises to 2 toward x = 1 and that step overflows
+    (_double_well(), 0.6),
+])
+def test_turnpike_seed_reruns_on_the_grid_where_curvature_rises(P, x0):
+    steps = 2000
+    starts, _ = bridge_module._segment_starts(P, 20.0, steps)
+    assert list(starts) == [0, 500, 1000, 1500]
+    with np.errstate(over="ignore", invalid="ignore"):  # the coarse double-well flow overflows
+        seed = bridge_module._turnpike_seed(P, np.array([x0]), np.array([x0]), 20.0, steps, starts)
+    # unknowns: the first velocity, then each later start's state and velocity
+    states = np.concatenate([[x0], seed[1::2]])
+    on_grid = gradient_flow(P, [x0], 10.0, steps=1000).states[[0, 500, 1000, 500], 0]
+    np.testing.assert_allclose(states, on_grid, rtol=1e-12)
 
 
 @pytest.mark.parametrize("T, segments", [(5.0, 10), (20.0, 40)])

@@ -100,6 +100,11 @@ def test_stop_time_flow_rejects_bad_stops_and_steps(stops, max_step):
         gradient_flow(Potential.quadratic_isotropic(1), [1.0], 2.0, stops=stops, max_step=max_step)
 
 
+def test_stop_time_flow_rejects_a_step_count_too():
+    with pytest.raises(ValueError, match="not both"):
+        gradient_flow(Potential.quadratic_isotropic(1), [1.0], 2.0, 200, stops=[1.0], max_step=0.3)
+
+
 @pytest.mark.parametrize("P, starts", [
     (Potential.neg_log(2), [[1.0, 2.0], [0.3, 0.7], [2.5, 0.1]]),
     (Potential.quadratic_isotropic(2), [[2.0, -1.0], [0.0, 0.0]]),

@@ -3,8 +3,9 @@
 Two independent routes produce the same interpolation, each by one damped
 Newton loop: multiple shooting (on the initial states of the segments of a
 phase-space RK4 integration) and the discrete Euler-Lagrange equations of
-the discretized action. Closed forms for the two solvable builtin
-potentials serve as oracles.
+the discretized action. Exact bridges of the three builtin potentials
+serve as oracles at any endpoints and dimension: neg-log coordinate by
+coordinate, the quadratics mode by mode along the eigenvectors of A.
 """
 from __future__ import annotations
 
@@ -14,16 +15,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._integrate import _damped_newton, integrate_grid
-from .errors import (
-    DomainEscape,
-    NoConvergence,
-    NonFinite,
-    UnsupportedEndpoints,
-    UnsupportedKind,
-)
+from .errors import DomainEscape, NoConvergence, NonFinite, UnsupportedKind
 from .flow import Trajectory, default_steps, gradient_flow
 from .functionals import energy_stats, trapezoid_cost
-from .potential import ALL_SPACE, NEG_LOG, QUADRATIC_ISOTROPIC, Potential
+from .potential import (ALL_SPACE, NEG_LOG, QUADRATIC_ISOTROPIC, QUADRATIC_MATRIX, Potential,
+                        potential_from_config)
 
 
 METHODS = ("shooting", "action", "auto")
@@ -204,8 +200,8 @@ def solve_bridge_shooting(P: Potential, x, y, T: float, opts: SolverOptions | No
     opts = opts or SolverOptions()
     x = P.check_domain(x)
     y = P.check_domain(y)
-    if T <= 0:
-        raise ValueError("T must be positive")
+    if not 0.0 < T < math.inf:
+        raise ValueError("T must be positive and finite")
     d = P.dim
     steps = opts.nodes(T) - 1
     starts, k = _segment_starts(P, T, steps)
@@ -416,8 +412,8 @@ def solve_bridge_action(P: Potential, x, y, T: float, opts: SolverOptions | None
     opts = opts or SolverOptions()
     x = P.check_domain(x)
     y = P.check_domain(y)
-    if T <= 0:
-        raise ValueError("T must be positive")
+    if not 0.0 < T < math.inf:
+        raise ValueError("T must be positive and finite")
     n_nodes = opts.nodes(T)
     d = P.dim
     h = T / (n_nodes - 1)
@@ -535,83 +531,91 @@ def reverse_solution(sol: BridgeSolution) -> BridgeSolution:
 # -- closed forms ---------------------------------------------------------------
 
 
-def _closed_form(kind: str, x, y, T: float):
-    """(path, energy, cost) of the exact interpolation, where known.
+def _closed_form(P, x, y, T: float):
+    """(path, energy, cost) of the exact bridge of the builtin potential P,
+    or of the builtin of kind P at the endpoints' dimension; a custom
+    potential is UnsupportedKind. ``path`` maps times (n, 1) to (states,
+    velocities) through one numpy expression whatever n is.
 
-    ``path(t)`` gives (states, velocities) at one time or on an array of
-    times, through the same numpy expression, so a time gives the same bits
-    on its own as on a grid. ``cost()`` is evaluated on demand. For the
-    log potential (equal endpoints) the kinetic part integrates to -4 A(v0)
-    with A(v) = sqrt(1-v^2) - log((1+sqrt(1-v^2))/v) evaluated at
-    v0 = sqrt(-E) x, which combines with the conserved quantity into
-    C = -4 A(v0) - T E.
+    Neg-log, per coordinate: x(t)^2 = a t^2 + b t + x^2 with
+    a = (x - y)^2/T^2 - 2/(S + xy), S = sqrt(x^2 y^2 + T^2), and
+    b = (y^2 - x^2 - a T^2)/T. The energy is a and the cost, free of
+    cancellation, a T + 2 int dt/x(t)^2 = a T + log1p(2T(S + T)/(x^2 y^2)).
+
+    Quadratic, per eigenmode of A = F''(0) with endpoints u, w and rate
+    k = |lam|: u W(T - t) + w W(t) with W(s) = sinh(ks)/sinh(kT). That is
+    alpha e^{-kt} + beta e^{-k(T - t)}, with energy -4 lam^2 alpha beta
+    e^{-kT} and cost k (1 - e^{-2kT})(alpha^2 + beta^2), all written to stay
+    accurate as kT -> 0. A mode with lam = 0 is a straight line, W(s) = s/T.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if kind == QUADRATIC_ISOTROPIC:
-        em = math.exp(-T)
-        den = 1.0 - math.exp(-2.0 * T)
-        alpha = (x - y * em) / den
-        beta = (y - x * em) / den
+    if not isinstance(P, Potential):
+        P = potential_from_config({"kind": P, "dim": np.size(x)})
+    x, y = P.check_domain(x), P.check_domain(y)
+    if not 0.0 < T < math.inf:
+        raise ValueError("T must be positive and finite")
+    if P.kind == NEG_LOG:
+        xy = x * y
+        S = np.sqrt(xy * xy + T * T)
+        a = (x - y) ** 2 / (T * T) - 2.0 / (S + xy)
+        b = (y * y - x * x - a * T * T) / T
 
         def path(t):
-            down = np.multiply.outer(np.exp(-t), alpha)
-            up = np.multiply.outer(np.exp(-(T - t)), beta)
-            return down + up, up - down
+            r = np.sqrt(x * x + t * (a * t + b))
+            return r, (2.0 * a * t + b) / (2.0 * r)
 
-        return (path, float(-4.0 * em * np.dot(alpha, beta)),
-                lambda: float(den * (np.dot(alpha, alpha) + np.dot(beta, beta))))
-    if kind != NEG_LOG:
-        raise UnsupportedKind(f"no closed form for kind {kind!r}")
-    if x.shape != (1,) or y.shape != (1,):
-        raise UnsupportedEndpoints("the log-potential closed form is one-dimensional")
-    if x[0] != y[0]:
-        raise UnsupportedEndpoints("the log-potential closed form needs equal endpoints")
-    if x[0] <= 0:
-        raise UnsupportedEndpoints("endpoints must be positive")
-    x0 = float(x[0])
-    # E = 2(x0^2 - sqrt(x0^4 + T^2))/T^2 and s = sqrt(1 + E x0^2), free of cancellation
-    D = x0 * x0 + math.sqrt(x0**4 + T * T)
-    E = -2.0 / D
-    s = T / D
+        return path, float(np.sum(a)), float(np.sum(a * T + np.log1p(2.0 * T * (S + T) / (xy * xy))))
+    if P.kind not in (QUADRATIC_ISOTROPIC, QUADRATIC_MATRIX):
+        raise UnsupportedKind(f"no closed form for kind {P.kind!r}")
+    lam, Q = np.linalg.eigh(P.hessian(np.zeros(P.dim)))
+    flat = lam == 0.0
+    k = np.where(flat, 1.0, np.abs(lam))  # any rate: a flat mode takes the straight line
+    u, w = Q.T @ x, Q.T @ y
+    em, den = np.exp(-k * T), -np.expm1(-2.0 * k * T)
+
+    def weight(s, rest):
+        """W(s) and W'(s), given rest = T - s as the caller holds it."""
+        e = np.exp(-k * rest)
+        return (np.where(flat, s / T, -e * np.expm1(-2.0 * k * s) / den),
+                np.where(flat, 1.0 / T, k * e * (1.0 + np.exp(-2.0 * k * s)) / den))
 
     def path(t):
-        r = np.sqrt(x0 * x0 + t * t * E + 2.0 * t * s)
-        return np.expand_dims(r, -1), np.expand_dims((t * E + s) / r, -1)
+        (back, dback), (ahead, dahead) = weight(T - t, t), weight(t, T - t)
+        # an elementwise sum, not a matrix product, which BLAS may round
+        # differently for one row and for many
+        return [np.sum(m[:, None, :] * Q, axis=-1)
+                for m in (u * back + w * ahead, w * dahead - u * dback)]
 
-    def cost():
-        v0 = math.sqrt(-E) * x0
-        return -4.0 * (s - math.log((1.0 + s) / v0)) - T * E
-
-    return path, E, cost
-
-
-def closed_form_energy(kind: str, x, y, T: float) -> float:
-    """Exact conserved quantity of the interpolation, where known."""
-    return _closed_form(kind, x, y, T)[1]
+    d0, dT = weight(0.0, T)[1], weight(T, 0.0)[1]
+    energy = (d0 * (u - w)) ** 2 - 4.0 * u * w * lam * lam * em / (1.0 + em) ** 2
+    cost = dT * (u - w) ** 2 - 2.0 * u * w * np.abs(lam) * np.expm1(-k * T) / (1.0 + em)
+    return path, float(np.sum(energy)), float(np.sum(cost))
 
 
-def closed_form_cost(kind: str, x, y, T: float) -> float:
-    """Exact interpolation cost, where known."""
-    return _closed_form(kind, x, y, T)[2]()
+def closed_form_energy(P, x, y, T: float) -> float:
+    """Exact conserved quantity of the bridge of a builtin potential or kind."""
+    return _closed_form(P, x, y, T)[1]
 
 
-def closed_form_bridge(kind: str, x, y, T: float, t: float) -> np.ndarray:
-    """Exact interpolation point at time t in [0, T], where known."""
+def closed_form_cost(P, x, y, T: float) -> float:
+    """Exact cost of the bridge of a builtin potential or kind."""
+    return _closed_form(P, x, y, T)[2]
+
+
+def closed_form_bridge(P, x, y, T: float, t: float) -> np.ndarray:
+    """Exact bridge point at time t in [0, T], evaluated as a one-node grid."""
     if not 0.0 <= t <= T:
         raise ValueError("t must lie in [0, T]")
-    return _closed_form(kind, x, y, T)[0](t)[0]
+    return _closed_form(P, x, y, T)[0](np.array([[float(t)]]))[0][0]
 
 
-def closed_form_bridge_trajectory(kind: str, x, y, T: float, steps: int) -> Trajectory:
-    """Exact interpolation sampled on a uniform grid, with exact velocities."""
+def closed_form_bridge_trajectory(P, x, y, T: float, steps: int) -> Trajectory:
+    """Exact bridge on a uniform grid, with exact velocities."""
     if steps < 2:
         raise ValueError("steps must be >= 2")
     times = np.linspace(0.0, T, steps + 1)
-    return Trajectory(times, *_closed_form(kind, x, y, T)[0](times))
+    return Trajectory(times, *_closed_form(P, x, y, T)[0](times[:, None]))
 
 
-def closed_form_solution(kind: str, P: Potential, x, y, T: float, steps: int) -> BridgeSolution:
+def closed_form_solution(P: Potential, x, y, T: float, steps: int) -> BridgeSolution:
     """Package a closed-form trajectory with the usual diagnostics."""
-    traj = closed_form_bridge_trajectory(kind, x, y, T, steps)
-    return _finish_solution(traj, P, "closed_form", 0.0, 0)
+    return _finish_solution(closed_form_bridge_trajectory(P, x, y, T, steps), P, "closed_form", 0.0, 0)

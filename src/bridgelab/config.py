@@ -78,8 +78,8 @@ def parse_config(data: dict, *, name_hint: str = "config") -> ExperimentConfig:
     T_values = _numbers(data, "T_values")
     if not T_values:
         raise ConfigError("T_values must be a nonempty list")
-    if any(t <= 0 for t in T_values) or any(b <= a for a, b in zip(T_values, T_values[1:])):
-        raise ConfigError("T_values must be positive and strictly increasing")
+    if not all(0.0 < a < b for a, b in zip(T_values, T_values[1:] + [np.inf])):
+        raise ConfigError("T_values must be positive, finite and strictly increasing")
 
     theta_values = _numbers(data, "theta_values", [k / 10 for k in range(1, 10)])
     if any(not 0.0 < v < 1.0 for v in theta_values):

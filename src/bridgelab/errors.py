@@ -21,10 +21,6 @@ class UnsupportedKind(BridgeLabError):
     """No closed form is available for this potential kind."""
 
 
-class UnsupportedEndpoints(BridgeLabError):
-    """The closed form exists only for a restricted set of endpoints."""
-
-
 class NoConvergence(BridgeLabError):
     """An iterative solver stopped before it met its tolerance."""
 

@@ -102,8 +102,8 @@ def gradient_flow(P: Potential, x0, T: float, steps: int | None = None, *,
     points = np.asarray(x0, dtype=float)
     batch = points.ndim == 2
     starts = np.array([P.check_domain(p) for p in (points if batch else [x0])])
-    if T <= 0:
-        raise ValueError("T must be positive")
+    if not 0.0 < T < math.inf:
+        raise ValueError("T must be positive and finite")
 
     feasible = P.in_domain if P.domain != ALL_SPACE else None
 

@@ -34,8 +34,6 @@ class GaussianBridge:
     dT2: float = field(init=False)  # D_T^2, derived from T
 
     def __post_init__(self):
-        if not self.T > 0:
-            raise ValueError("T must be positive")
         object.__setattr__(self, "dT2", fluct_param(self.T))
 
     @property
@@ -46,8 +44,8 @@ class GaussianBridge:
 
 def fluct_param(T: float) -> float:
     """D_T^2 = sqrt((T-1)^2 + 2T) - (T-1); decreases from 2 toward 1."""
-    if not T > 0:
-        raise ValueError("T must be positive")
+    if not 0.0 < T < math.inf:
+        raise ValueError("T must be positive and finite")
     return math.sqrt((T - 1.0) ** 2 + 2.0 * T) - (T - 1.0)
 
 

@@ -138,6 +138,8 @@ class Potential:
         A = np.array(matrix, dtype=float)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError("matrix must be square")
+        if not np.isfinite(A).all():
+            raise ValueError("matrix entries must be finite")
         if not np.allclose(A, A.T, rtol=0.0, atol=1e-12 * (1.0 + np.abs(A).max())):
             raise ValueError("matrix must be symmetric")
         A = 0.5 * (A + A.T)

@@ -148,7 +148,7 @@ def test_criterion_5_bound_catalogue_zero_failures():
                 # an O(1e-8) true margin, so this case runs on the exact
                 # trajectory, sampled finely
                 opts = SolverOptions(grid_points=400001)
-                sol = closed_form_solution(kind, P, x, y, T, 400000)
+                sol = closed_form_solution(P, x, y, T, 400000)
             else:
                 opts = SolverOptions(grid_points=int(400 * T) + 1)
                 sol = solve_bridge_shooting(P, x, y, T, opts)
@@ -181,7 +181,7 @@ def test_criterion_5_companion_catalogue_on_solved_quadratic_at_T20():
 def test_criterion_6_turnpike_sharpness():
     P = Potential.neg_log(1)
     T = 1000.0
-    sol = closed_form_solution(NEGLOG, P, [1.0], [1.0], T, 20000)
+    sol = closed_form_solution(P, [1.0], [1.0], T, 20000)
     reports = verify_bounds(
         P, [1.0], [1.0], T, solution=sol, theta_values=[0.5], t_values=[T / 2.0], c1=1.0
     )

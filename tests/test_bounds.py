@@ -5,6 +5,7 @@ from bridgelab import (
     DegenerateSeries,
     Potential,
     SolverOptions,
+    closed_form_cost,
     closed_form_energy,
     closed_form_flow,
     closed_form_solution,
@@ -89,7 +90,7 @@ def test_neglog_case_runs_the_dimensional_bounds_and_passes():
 def test_b3_turnpike_value_neglog():
     P = Potential.neg_log(1)
     T = 10.0
-    sol = closed_form_solution(NEGLOG, P, [1.0], [1.0], T, 2000)
+    sol = closed_form_solution(P, [1.0], [1.0], T, 2000)
     reports = verify_bounds(
         P, [1.0], [1.0], T, solution=sol, theta_values=[0.5], t_values=[T / 2], c1=1.0
     )
@@ -114,7 +115,7 @@ def test_b6_is_tight_on_the_isotropic_quadratic():
     # equality case: the comparison solution of the second-order inequality
     P = Potential.quadratic_isotropic(1)
     T = 2.0
-    sol = closed_form_solution(QUAD, P, [2.0], [1.0], T, 2000)
+    sol = closed_form_solution(P, [2.0], [1.0], T, 2000)
     reports = verify_bounds(P, [2.0], [1.0], T, solution=sol)
     b6 = [r for r in reports if r.bound_id == "B6" and r.context["orientation"] == "forward"]
     assert len(b6) == 3
@@ -125,7 +126,7 @@ def test_b6_is_tight_on_the_isotropic_quadratic():
 
 def test_b10_log_sobolev_equality_for_isotropic_quadratic():
     P = Potential.quadratic_isotropic(1)
-    sol = closed_form_solution(QUAD, P, [2.0], [1.0], 2.0, 1000)
+    sol = closed_form_solution(P, [2.0], [1.0], 2.0, 1000)
     reports = verify_bounds(P, [2.0], [1.0], 2.0, solution=sol)
     b10 = [r for r in reports if r.bound_id == "B10" and r.context["orientation"] == "forward"]
     assert len(b10) == 2
@@ -137,7 +138,7 @@ def test_b1_cross_check_with_b3_midpoint():
     # at theta = 1/2 the turnpike right side equals the energy bound 2n/T
     P = Potential.neg_log(1)
     T = 10.0
-    sol = closed_form_solution(NEGLOG, P, [1.0], [1.0], T, 2000)
+    sol = closed_form_solution(P, [1.0], [1.0], T, 2000)
     reports = verify_bounds(
         P, [1.0], [1.0], T, solution=sol, theta_values=[0.5], t_values=[T / 2], c1=1.0
     )
@@ -145,6 +146,37 @@ def test_b1_cross_check_with_b3_midpoint():
     b3 = [r for r in reports if r.bound_id == "B3"]
     assert b1_energy[0].rhs == pytest.approx(b3[0].rhs)
     assert b1_energy[0].lhs == pytest.approx(b3[0].lhs, rel=1e-9)
+
+
+@pytest.mark.parametrize("x, y, ratio_at_20", [
+    ([1.0], [1.0], 0.951),
+    ([0.8, 2.0, 1.3], [1.7, 1.0, 2.5], 0.870),
+])
+def test_b1_energy_bound_is_sharp_on_the_exact_neglog_bridges(x, y, ratio_at_20):
+    # CD(0, n): each coordinate's energy a_i has 2/T + a_i >= (x_i - y_i)^2/T^2,
+    # so -E <= 2n/T - |x - y|^2/T^2, and -E T/(2n) rises towards 1
+    n = len(x)
+    gap = float(np.sum((np.array(x) - np.array(y)) ** 2))
+    ratios = []
+    for T in (1.0, 2.0, 5.0, 20.0, 100.0, 1000.0):
+        for xi, yi in zip(x, y):
+            assert 2.0 / T + closed_form_energy(NEGLOG, [xi], [yi], T) >= (xi - yi) ** 2 / T**2
+        E = closed_form_energy(NEGLOG, x, y, T)
+        assert -E <= 2.0 * n / T - gap / T**2
+        ratios.append(-E * T / (2.0 * n))
+    assert all(r < s < 1.0 for r, s in zip(ratios, ratios[1:]))
+    assert ratios[3] == pytest.approx(ratio_at_20, abs=1e-3) and ratios[-1] > 0.997
+    # B1's energy report on a shooting solve keeps the exact margin, less the solve's error
+    P, T = Potential.neg_log(n), 20.0
+    sol = solve_bridge_shooting(P, x, y, T)
+    E = closed_form_energy(P, x, y, T)
+    error = abs(sol.energy_mean - E)
+    assert error <= 1e-8
+    reports = verify_bounds(P, x, y, T, solution=sol, c1=closed_form_cost(P, x, y, 1.0))
+    b1 = [r for r in reports if r.bound_id == "B1" and r.context["part"] == "energy"]
+    assert len(b1) == (1 if x == y else 2)
+    for rep in b1:
+        assert rep.margin >= 2.0 * n / T + E - error >= gap / T**2 - error
 
 
 def test_full_grid_no_failures():

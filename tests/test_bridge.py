@@ -7,11 +7,11 @@ import pytest
 import bridgelab.bridge as bridge_module
 import bridgelab.flow as flow_module
 from bridgelab import (
+    DomainError,
     DomainEscape,
     NoConvergence,
     Potential,
     SolverOptions,
-    UnsupportedEndpoints,
     UnsupportedKind,
     closed_form_bridge,
     closed_form_bridge_trajectory,
@@ -28,6 +28,20 @@ from bridgelab.potential import POSITIVE_ORTHANT
 
 QUAD = "quadratic_isotropic"
 NEGLOG = "neg_log"
+
+_TURN = np.array([[math.cos(0.6), -math.sin(0.6)], [math.sin(0.6), math.cos(0.6)]])
+
+# exact bridges beyond the equal-endpoint and isotropic cases: neg-log at
+# unequal endpoints in d = 1, 2, 3, an anisotropic matrix, a flat mode and
+# a negative eigenvalue
+EXACT_CASES = [
+    (Potential.neg_log(1), [1.0], [3.0], 5.0),
+    (Potential.neg_log(2), [1.0, 0.7], [1.6, 2.2], 10.0),
+    (Potential.neg_log(3), [0.8, 2.0, 1.3], [1.7, 1.0, 2.5], 20.0),
+    (Potential.quadratic_matrix(_TURN @ np.diag([0.3, 2.5]) @ _TURN.T), [1.0, -1.0], [0.5, 2.0], 10.0),
+    (Potential.quadratic_matrix(np.diag([1.0, 0.0])), [1.0, -0.5], [0.3, 1.5], 10.0),
+    (Potential.quadratic_matrix(np.diag([-1.0, 2.0])), [1.0, -0.5], [0.3, 1.5], 10.0),
+]
 
 
 def quad_alpha_beta(x, y, T):
@@ -48,17 +62,18 @@ def test_quadratic_closed_form_bridge_values():
     assert closed_form_bridge(QUAD, [1.0], [1.0], 2.0, 1.0)[0] == pytest.approx(expected)
 
 
-@pytest.mark.parametrize("kind, x, y, T", [
+@pytest.mark.parametrize("P, x, y, T", [
     (QUAD, [1.0, -0.5], [0.3, 2.0], 7.0),
     (QUAD, [0.4], [1.3], 0.5),
     (NEGLOG, [1.3], [1.3], 12.0),
     (NEGLOG, [0.2], [0.2], 3.0),
-])
-def test_closed_form_point_is_the_trajectory_node(kind, x, y, T):
+] + EXACT_CASES)
+def test_closed_form_point_is_the_trajectory_node(P, x, y, T):
     # one time and a grid of times go through the same numpy expression
-    traj = closed_form_bridge_trajectory(kind, x, y, T, 997)
-    points = np.array([closed_form_bridge(kind, x, y, T, t) for t in traj.times])
+    traj = closed_form_bridge_trajectory(P, x, y, T, 997)
+    points = np.array([closed_form_bridge(P, x, y, T, t) for t in traj.times])
     assert np.array_equal(points, traj.states)
+    np.testing.assert_allclose(traj.states[[0, -1]], [x, y], rtol=1e-14)
 
 
 def test_neglog_energy_root_of_its_quadratic():
@@ -100,29 +115,48 @@ def test_neglog_closed_form_far_from_origin_is_finite():
     assert np.all(np.isfinite(closed_form_bridge(NEGLOG, [x0], [x0], T, T / 3.0)))
     traj = closed_form_bridge_trajectory(NEGLOG, [x0], [x0], T, 10)
     assert np.all(np.isfinite(traj.states)) and np.all(np.isfinite(traj.velocities))
-    with localcontext() as ctx:
-        ctx.prec = 50
-        X, TT = Decimal(x0), Decimal(T)
-        D = X * X + (X**4 + TT * TT).sqrt()
-        E, s = -2 / D, TT / D
-        v0 = (-E).sqrt() * X
-        exact = float(-4 * (s - ((1 + s) / v0).ln()) - TT * E)
-    assert closed_form_cost(NEGLOG, [x0], [x0], T) == pytest.approx(exact, rel=1e-9)
+    # the cost against the log-ratio form in 60 digits: per coordinate
+    # a T + log|(2aT + b - 2)(b + 2) / ((2aT + b + 2)(b - 2))|
+    for x, y, T in (([x0], [x0], T), ([1e3], [1e3], 1.0), ([1.0], [3.0], 5.0),
+                    ([1.0, 0.7], [1.6, 2.2], 10.0)):
+        with localcontext() as ctx:
+            ctx.prec = 60
+            TT, exact = Decimal(T), Decimal(0)
+            for X, Y in zip(map(Decimal, x), map(Decimal, y)):
+                a = (X - Y) ** 2 / TT**2 - 2 / ((X * X * Y * Y + TT * TT).sqrt() + X * Y)
+                b = (Y * Y - X * X - a * TT * TT) / TT
+                exact += a * TT + abs((2 * a * TT + b - 2) * (b + 2)
+                                      / ((2 * a * TT + b + 2) * (b - 2))).ln()
+        assert closed_form_cost(NEGLOG, x, y, T) == pytest.approx(float(exact), rel=1e-12)
 
 
 def test_closed_form_rejects_unsupported_cases():
     evaluators = (
-        lambda kind, x, y: closed_form_bridge(kind, x, y, 1.0, 0.5),
-        lambda kind, x, y: closed_form_bridge_trajectory(kind, x, y, 1.0, 4),
-        lambda kind, x, y: closed_form_cost(kind, x, y, 1.0),
-        lambda kind, x, y: closed_form_energy(kind, x, y, 1.0),
+        lambda P, x, y: closed_form_bridge(P, x, y, 1.0, 0.5),
+        lambda P, x, y: closed_form_bridge_trajectory(P, x, y, 1.0, 4),
+        lambda P, x, y: closed_form_cost(P, x, y, 1.0),
+        lambda P, x, y: closed_form_energy(P, x, y, 1.0),
     )
+    custom = Potential.custom(1, lambda x: float(np.sum(np.cosh(x))))
     for evaluate in evaluators:
-        for x, y in (([1.0], [2.0]), ([1.0, 1.0], [1.0, 1.0]), ([-1.0], [-1.0])):
-            with pytest.raises(UnsupportedEndpoints):
-                evaluate(NEGLOG, x, y)
+        # endpoints go through the potential's own domain and shape checks
+        with pytest.raises(DomainError):
+            evaluate(NEGLOG, [-1.0], [1.0])
+        with pytest.raises(ValueError):
+            evaluate(Potential.neg_log(1), [1.0, 1.0], [1.0, 1.0])
         with pytest.raises(UnsupportedKind):
-            evaluate("quadratic_matrix", [1.0], [1.0])
+            evaluate(custom, [1.0], [1.0])
+
+
+@pytest.mark.parametrize("T", [-1.0, 0.0, math.nan, math.inf])
+@pytest.mark.parametrize("P", [Potential.neg_log(1), Potential.quadratic_isotropic(1)],
+                         ids=["neg_log", "quadratic"])
+def test_every_route_rejects_a_horizon_that_is_not_positive_and_finite(P, T):
+    routes = (solve_bridge_shooting, solve_bridge_action, closed_form_cost,
+              lambda P, x, y, T: gradient_flow(P, x, T))
+    for route in routes:
+        with pytest.raises(ValueError, match="T must be positive and finite"):
+            route(P, [1.0], [2.0], T)
 
 
 # -- shooting ----------------------------------------------------------------
@@ -267,9 +301,9 @@ def test_shooting_escape_when_every_start_leaves_domain():
 # -- multiple shooting --------------------------------------------------------
 
 
-def sup_error_against_closed_form(kind, P, x, y, T, grid_points=None):
-    sol = solve_bridge_shooting(P, x, y, T, SolverOptions(grid_points=grid_points))
-    exact = closed_form_bridge_trajectory(kind, x, y, T, sol.trajectory.n_nodes - 1)
+def sup_error_against_closed_form(P, x, y, T, grid_points=None, solve=solve_bridge_shooting):
+    sol = solve(P, x, y, T, SolverOptions(grid_points=grid_points))
+    exact = closed_form_bridge_trajectory(P, x, y, T, sol.trajectory.n_nodes - 1)
     return sol, float(np.max(np.abs(sol.trajectory.states - exact.states)))
 
 
@@ -283,7 +317,7 @@ def test_multiple_shooting_neglog_long_horizon_matches_closed_form(monkeypatch, 
 
     # only the turnpike seed's gradient flows integrate through the flow module
     monkeypatch.setattr(flow_module, "integrate_grid", counted)
-    sol, err = sup_error_against_closed_form(NEGLOG, Potential.neg_log(1), [1.0], [1.0], T)
+    sol, err = sup_error_against_closed_form(Potential.neg_log(1), [1.0], [1.0], T)
     assert sol.context["segments"] == segments
     assert sol.trajectory.n_nodes == 100 * int(T) + 1  # the default grid
     assert err <= 1e-8
@@ -338,7 +372,7 @@ def test_multiple_shooting_lands_a_stiff_axis_in_one_newton_step(T, segments):
 
 
 def test_multiple_shooting_quadratic_beyond_single_shooting_reach():
-    sol, err = sup_error_against_closed_form(QUAD, Potential.quadratic_isotropic(1), [2.0], [1.0], 200.0)
+    sol, err = sup_error_against_closed_form(Potential.quadratic_isotropic(1), [2.0], [1.0], 200.0)
     assert sol.context["segments"] == 400
     assert err <= 1e-9
 
@@ -346,10 +380,16 @@ def test_multiple_shooting_quadratic_beyond_single_shooting_reach():
 @pytest.mark.parametrize("P, x, y, T", [
     (Potential.neg_log(2), [1.0, 0.7], [1.6, 2.2], 23.0),
     (Potential.quadratic_isotropic(2), [2.0, -1.0], [1.0, 0.5], 12.0),
-])
+] + EXACT_CASES)
 def test_multiple_shooting_segments_meet_within_the_boundary_tolerance(P, x, y, T):
     opts = SolverOptions(grid_points=2001)
-    sol = solve_bridge_shooting(P, x, y, T, opts)
+    sol, err = sup_error_against_closed_form(P, x, y, T, opts.grid_points)
+    cost = closed_form_cost(P, x, y, T)
+    assert err <= 1e-8 and sol.cost == pytest.approx(cost, rel=1e-8)
+    # the action route's second-order differences are O(h^2) off
+    h = T / (opts.grid_points - 1)
+    act, act_err = sup_error_against_closed_form(P, x, y, T, opts.grid_points, solve_bridge_action)
+    assert act_err <= h * h and act.cost == pytest.approx(cost, rel=h * h)
     traj = sol.trajectory
     steps = traj.n_nodes - 1
     starts, k = bridge_module._segment_starts(P, T, steps)

@@ -79,11 +79,17 @@ def test_run_rejects_bad_mode_and_missing_file(tmp_path):
         {"endpoints": {}},
         {"mode": "gaussian", "endpoints": {}},
         {"endpoints": {"x": [float("inf")]}},
+        {"T_values": [float("nan")]},
+        {"T_values": [1.0, float("inf")]},
+        {"potential": {"kind": "quadratic_matrix", "matrix": [[1.0, 0.0], [0.0, float("inf")]]},
+         "endpoints": {"x": [1.0, 1.0]}},
+        {"potential": {"kind": "quadratic_matrix", "matrix": [[float("nan")]]}},
     ],
     ids=["T_text", "T_null", "theta_text", "t_fraction_list", "endpoints_list",
          "outputs_text", "grid_points_small", "tol_zero", "tol_negative", "tol_nan",
          "tol_inf", "grid_points_fraction", "dim_fraction", "dim_bool", "endpoints_missing",
-         "gaussian_endpoints_missing", "endpoint_infinite"],
+         "gaussian_endpoints_missing", "endpoint_infinite", "T_nan", "T_inf", "matrix_inf",
+         "matrix_nan"],
 )
 def test_malformed_config_is_a_config_error(tmp_path, capsys, patch):
     cfg = write_config(tmp_path, {**BASE, **patch})

@@ -31,3 +31,19 @@ def test_the_kernel_module_imports_only_the_errors_of_the_package():
     absolute += [node.module for node in imports
                  if isinstance(node, ast.ImportFrom) and not node.level]
     assert not [name for name in absolute if name.split(".")[0] == "bridgelab"]
+
+
+def test_every_error_type_is_raised_somewhere():
+    # an exception class that nothing raises is dead API
+    tree = ast.parse((SRC / "errors.py").read_text(encoding="utf-8"))
+    declared = {node.name for node in tree.body if isinstance(node, ast.ClassDef)
+                and any(isinstance(base, ast.Name) and base.id == "BridgeLabError"
+                        for base in node.bases)}
+    raised = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    assert declared and not declared - raised, sorted(declared - raised)

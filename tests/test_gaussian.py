@@ -186,7 +186,8 @@ def test_gaussian_family_dimension_one_bounds():
 
 
 def test_gaussian_bridge_validation():
-    with pytest.raises(ValueError):
-        GaussianBridge(0.0, 0.0, -1.0)
+    for T in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            GaussianBridge(0.0, 0.0, T)
     with pytest.raises(ValueError):
         Gaussian1D(0.0, 0.0)

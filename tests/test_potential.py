@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,15 @@ def test_quadratic_matrix_rho_is_smallest_eigenvalue():
     assert P.value(x) == pytest.approx(0.5 * x @ A @ x)
     np.testing.assert_allclose(P.grad(x), A @ x)
     np.testing.assert_allclose(P.hess_grad(x), A @ (A @ x))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_quadratic_matrix_rejects_nonfinite_entries_first(bad):
+    # checked before symmetry, so neither "must be symmetric" nor a numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite"):
+            Potential.quadratic_matrix([[1.0, bad], [bad, 1.0]])
 
 
 def test_custom_finite_difference_hessian_matches_identity():

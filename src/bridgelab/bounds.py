@@ -21,6 +21,9 @@ from .potential import Potential
 
 #: Reports pass when margin >= -BOUND_TOL * (1 + |rhs|).
 BOUND_TOL = 1e-8
+#: Default B3 fractions theta, and times t / T of the bounds taken at a node.
+THETA_VALUES = tuple(k / 10.0 for k in range(1, 10))
+T_FRACTIONS = (0.25, 0.5, 0.75)
 
 POWER_LAW = "power_law"
 EXPONENTIAL = "exponential"
@@ -63,6 +66,14 @@ def _sinh_ratio(a: float, b: float) -> float:
     return (math.exp(a - b) - math.exp(-a - b)) / (1.0 - math.exp(-2.0 * b))
 
 
+def _expm1(x: float) -> float:
+    """e^x - 1, or inf where that overflows: B4 and B5 divide by it."""
+    try:
+        return math.expm1(x)
+    except OverflowError:
+        return math.inf
+
+
 def unit_horizon_cost(P: Potential, x, y, opts: SolverOptions | None = None) -> float | None:
     """c1, the cost of the bridge from x to y at horizon 1, which the
     logarithmic bounds need; None when P has no finite dimension parameter,
@@ -92,18 +103,16 @@ def verify_bounds(
 
     `solution` is solved on demand, and so is `c1` (see
     ``unit_horizon_cost``); a caller checking several horizons of one pair
-    can solve `c1` once and pass it. `t_values` defaults to
-    {T/4, T/2, 3T/4} and `theta_values` to {0.1, ..., 0.9}. Unless x == y, the reversed bridge
-    from y to x is checked too; each report's `context["orientation"]` is
-    "forward" or "reversed".
+    can solve `c1` once and pass it. `t_values` defaults to T times
+    T_FRACTIONS and `theta_values` to THETA_VALUES. Unless x == y, the reversed
+    bridge from y to x is checked too; each report's `context["orientation"]`
+    is "forward" or "reversed".
     """
     opts = opts or SolverOptions()
     x = P.check_domain(x)
     y = P.check_domain(y)
-    if t_values is None:
-        t_values = [0.25 * T, 0.5 * T, 0.75 * T]
-    if theta_values is None:
-        theta_values = [k / 10.0 for k in range(1, 10)]
+    t_values = [f * T for f in T_FRACTIONS] if t_values is None else t_values
+    theta_values = THETA_VALUES if theta_values is None else theta_values
 
     if solution is None:
         solution = solve_bridge(P, x, y, T, opts)
@@ -178,28 +187,15 @@ def _verify_one_orientation(P, x, y, T, sol, flow, c1, t_values, theta_values, o
         for theta in theta_values:
             idx = traj.nearest_index(theta * T)
             g = P.grad(traj.states[idx])
-            reports.append(
-                _report(
-                    "B3",
-                    float(g @ g),
-                    n / (2.0 * T * theta * (1.0 - theta)),
-                    theta=float(theta),
-                    t=float(traj.times[idx]),
-                    **base,
-                )
-            )
+            reports.append(_report("B3", float(g @ g), n / (2.0 * T * theta * (1.0 - theta)),
+                                   theta=float(theta), t=float(traj.times[idx]), **base))
         if c1 is not None and T >= 1.0:
             for idx, tt in nodes:
                 rhs = 2.0 * math.sqrt(max(log_budget, 0.0)) * (math.sqrt(T) - math.sqrt(T - tt))
                 reports.append(_report("B8", flow_gap(idx), rhs, t=tt, c1=c1, **base))
-        reports.append(
-            _report(
-                "B11",
-                Fx - P.value(flow.states[-1]),
-                0.5 * n * math.log1p((2.0 * T / n) * float(P.grad(x) @ P.grad(x))),
-                **base,
-            )
-        )
+        g = P.grad(x)
+        reports.append(_report("B11", Fx - P.value(flow.states[-1]),
+                               0.5 * n * math.log1p((2.0 * T / n) * float(g @ g)), **base))
         for t in t_values:
             idx = flow.nearest_index(t)
             tt = float(flow.times[idx])
@@ -211,12 +207,10 @@ def _verify_one_orientation(P, x, y, T, sol, flow, c1, t_values, theta_values, o
         budget = max(C + 2.0 * Fy - 2.0 * Fx, 0.0)
         for idx, tt in nodes:
             if tt < T:
-                rhs = 2.0 * rho / math.expm1(2.0 * rho * (T - tt)) * budget
+                rhs = 2.0 * rho / _expm1(2.0 * rho * (T - tt)) * budget
                 reports.append(_report("B4", phi_sq(idx), rhs, t=tt, **base))
         disc = max(C * C - 4.0 * (Fx - Fy) ** 2, 0.0)
-        reports.append(
-            _report("B5", abs(E), 2.0 * rho / math.expm1(rho * T) * math.sqrt(disc), **base)
-        )
+        reports.append(_report("B5", abs(E), 2.0 * rho / _expm1(rho * T) * math.sqrt(disc), **base))
         for idx, tt in nodes:
             denom = math.exp(-2.0 * rho * tt) - math.exp(-2.0 * rho * T)
             if denom > 0:
@@ -230,25 +224,24 @@ def _verify_one_orientation(P, x, y, T, sol, flow, c1, t_values, theta_values, o
                 s2 = _sinh_ratio(2.0 * rho * tt, 2.0 * rho * T)
                 rhs = c + s1 * (Fx - c) + s2 * (Fy - c)
                 reports.append(_report("B6", P.value(traj.states[idx]), rhs, t=tt, **base))
-            tt = np.linspace(T / 2000.0, T - T / 2000.0, 1999)
-            coth = lambda a: 1.0 / math.tanh(a)
-            vals = [
-                2.0 * coth(rho * s) * (Fx - Fstar) + 2.0 * coth(rho * (T - s)) * (Fy - Fstar)
-                for s in tt
-            ]
-            k = int(np.argmin(vals))
-            reports.append(_report("B9", C, vals[k], t_opt=float(tt[k]), **base))
+            # B9 holds at every s in (0, T). With c = rho T, its infimum is
+            # 2(a + b) coth c + 4 sqrt(ab) / sinh c, reached where tanh(rho s) =
+            # sqrt(a) sinh c / (sqrt(a) cosh c + sqrt(b)), that is where 2 rho s =
+            # c + log((sqrt(a) + sqrt(b) e^-c) / (sqrt(b) + sqrt(a) e^-c)). Both are
+            # written in e^-c: at large c, sinh c overflows and tanh(rho s) rounds to 1
+            a, b = max(Fx - Fstar, 0.0), max(Fy - Fstar, 0.0)
+            ra, rb, e = math.sqrt(a), math.sqrt(b), math.exp(-rho * T)
+            rhs = (2.0 * (a + b) / math.tanh(rho * T)
+                   - 8.0 * ra * rb * e / math.expm1(-2.0 * rho * T))
+            if ra > 0.0 and rb > 0.0:
+                t_opt = (rho * T + math.log((ra + rb * e) / (rb + ra * e))) / (2.0 * rho)
+            else:  # the limit s -> 0 if a = 0, s -> T if b = 0; a = b = 0 makes rhs 0 at every s
+                t_opt = T if ra > 0.0 else (0.0 if rb > 0.0 else 0.5 * T)
+            reports.append(_report("B9", C, rhs, t_opt=t_opt, **base))
             for label, p in (("x", x), ("y", y)):
                 g = P.grad(p)
-                reports.append(
-                    _report(
-                        "B10",
-                        2.0 * rho * (P.value(p) - Fstar),
-                        float(g @ g),
-                        point=label,
-                        **base,
-                    )
-                )
+                reports.append(_report("B10", 2.0 * rho * (P.value(p) - Fstar), float(g @ g),
+                                       point=label, **base))
     return reports
 
 

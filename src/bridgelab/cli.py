@@ -230,6 +230,9 @@ def run(config: ExperimentConfig, *, keep_going: bool = False, threads: int = 1,
         }
 
     elif config.mode == "sweep":
+        # every case past T = 1 compares with the same flow: integrate it once
+        flow_t1 = _once(lambda: gradient_flow(P, config.x, 1.0, steps=200))
+
         def sweep_case(T):
             sol = solve_case(T)
             row = {
@@ -239,9 +242,8 @@ def run(config: ExperimentConfig, *, keep_going: bool = False, threads: int = 1,
                 "abs_energy": abs(sol.energy_mean),
             }
             if T > 1.0:
-                flow = gradient_flow(P, config.x, 1.0, steps=200)
                 state = _interp_state(sol.trajectory, 1.0)
-                row["dist_flow_t1"] = float(np.linalg.norm(state - flow.states[-1]))
+                row["dist_flow_t1"] = float(np.linalg.norm(state - flow_t1().states[-1]))
             return row
 
         results, failures = _map_cases(sweep_case, config.T_values, keep_going)

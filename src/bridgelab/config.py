@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .bounds import T_FRACTIONS, THETA_VALUES
 from .bridge import SolverOptions
 from .errors import ConfigError
 from .potential import Potential, as_count, potential_from_config
@@ -81,10 +82,10 @@ def parse_config(data: dict, *, name_hint: str = "config") -> ExperimentConfig:
     if not all(0.0 < a < b for a, b in zip(T_values, T_values[1:] + [np.inf])):
         raise ConfigError("T_values must be positive, finite and strictly increasing")
 
-    theta_values = _numbers(data, "theta_values", [k / 10 for k in range(1, 10)])
+    theta_values = _numbers(data, "theta_values", list(THETA_VALUES))
     if any(not 0.0 < v < 1.0 for v in theta_values):
         raise ConfigError("theta_values must lie strictly inside (0, 1)")
-    t_fractions = _numbers(data, "t_fractions", [0.25, 0.5, 0.75])
+    t_fractions = _numbers(data, "t_fractions", list(T_FRACTIONS))
     if any(not 0.0 < v < 1.0 for v in t_fractions):
         raise ConfigError("t_fractions must lie strictly inside (0, 1)")
 

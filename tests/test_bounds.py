@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -132,6 +134,72 @@ def test_b10_log_sobolev_equality_for_isotropic_quadratic():
     assert len(b10) == 2
     for rep in b10:
         assert rep.margin == pytest.approx(0.0, abs=1e-12)
+
+
+def _b9_by_orientation(reports):
+    return {r.context["orientation"]: r for r in reports if r.bound_id == "B9"}
+
+
+@pytest.mark.parametrize("y", [[1.5], [1.5, -0.8]])
+def test_b9_is_attained_when_one_endpoint_is_the_minimizer(y):
+    # from the minimizer the bridge is y sinh(t) / sinh(T), whose cost |y|^2 coth T
+    # is B9's infimum 2 F(y) coth(rho T), approached as s -> 0 (a = 0)
+    P = Potential.quadratic_isotropic(len(y))
+    x, T = np.zeros(len(y)), 3.0
+    reports = verify_bounds(P, x, y, T, solution=closed_form_solution(P, x, y, T, 601))
+    b9 = _b9_by_orientation(reports)
+    for rep in b9.values():
+        assert rep.rhs == pytest.approx(closed_form_cost(P, x, y, T), rel=1e-13, abs=0.0)
+        assert rep.passed
+    assert b9["forward"].context["t_opt"] == 0.0
+    assert b9["reversed"].context["t_opt"] == T
+
+
+@pytest.mark.parametrize("P, x, y, T", [
+    (Potential.quadratic_isotropic(1), [2.0], [1.0], 5.0),
+    (Potential.quadratic_isotropic(1), [0.3], [2.5], 0.4),
+    (Potential.quadratic_matrix([[2.0, 0.5], [0.5, 1.0]]), [1.0, -1.0], [0.5, 2.0], 2.0),
+], ids=["isotropic", "short_horizon", "matrix"])
+def test_b9_rhs_is_the_infimum_over_s_and_its_value_at_t_opt(P, x, y, T):
+    reports = verify_bounds(P, x, y, T, solution=closed_form_solution(P, x, y, T, 401))
+    Fstar = P.value(P.minimizer)
+    b9 = _b9_by_orientation(reports)
+    assert set(b9) == {"forward", "reversed"}
+    for orientation, rep in b9.items():
+        start, end = (x, y) if orientation == "forward" else (y, x)
+        a, b = P.value(start) - Fstar, P.value(end) - Fstar
+        assert a > 0 and b > 0
+
+        def f(s):
+            return 2.0 * a / np.tanh(P.rho * s) + 2.0 * b / np.tanh(P.rho * (T - s))
+
+        s = np.linspace(0.0, T, 100001)[1:-1]
+        assert np.min(f(s)) >= rep.rhs * (1.0 - 1e-14)
+        assert 0.0 < rep.context["t_opt"] < T
+        assert f(rep.context["t_opt"]) == pytest.approx(rep.rhs, rel=1e-14, abs=0.0)
+
+
+def test_every_bound_evaluates_at_rho_T_1000():
+    # at rho T = 1000 sinh overflows, expm1 overflows in B4 and B5, and
+    # tanh(rho s*) rounds to 1 although s* is near T/2
+    P = Potential.quadratic_isotropic(1)
+    x, y, T = [1.0], [0.5], 1000.0
+    reports = verify_bounds(P, x, y, T, solution=closed_form_solution(P, x, y, T, 4001))
+    assert all(rep.passed for rep in reports)
+    b9 = _b9_by_orientation(reports)
+    # coth(1000) is 1 and 1/sinh(1000) is 0 in floating point
+    assert b9["forward"].rhs == b9["reversed"].rhs == 2.0 * (0.5 + 0.125)
+    # 2 rho s* = rho T + log(sqrt(a / b)), with a / b = 4
+    assert b9["forward"].context["t_opt"] == pytest.approx(T / 2 + 0.5 * math.log(2.0), rel=1e-15)
+    assert b9["reversed"].context["t_opt"] == pytest.approx(T / 2 - 0.5 * math.log(2.0), rel=1e-15)
+
+
+def test_b9_is_zero_at_the_midpoint_when_both_endpoints_are_the_minimizer():
+    P = Potential.quadratic_isotropic(2)
+    x = [0.0, 0.0]
+    reports = verify_bounds(P, x, x, 3.0, solution=closed_form_solution(P, x, x, 3.0, 301))
+    (rep,) = [r for r in reports if r.bound_id == "B9"]
+    assert rep.rhs == 0.0 and rep.context["t_opt"] == 1.5 and rep.passed
 
 
 def test_b1_cross_check_with_b3_midpoint():

@@ -601,6 +601,16 @@ def test_action_cross_solver_agreement_neglog_long_horizon():
     assert act.cost == pytest.approx(shoot.cost, rel=0.02)
 
 
+def test_solve_bridge_dispatches_to_the_action_route():
+    P = Potential.quadratic_isotropic(2)
+    x, y, T, opts = [1.0, -0.5], [0.3, 1.5], 2.0, SolverOptions(method="action", grid_points=401)
+    sol = solve_bridge(P, x, y, T, opts)
+    assert sol.solver == "action"
+    direct = solve_bridge_action(P, x, y, T, opts=opts)
+    assert sol.trajectory.states.tobytes() == direct.trajectory.states.tobytes()
+    assert sol.cost == pytest.approx(closed_form_cost(P, x, y, T), rel=1e-4)
+
+
 def test_auto_falls_back_to_action(monkeypatch):
     def fail(*args, **kwargs):
         raise NoConvergence("shooting failed")

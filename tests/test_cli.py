@@ -8,8 +8,8 @@ import pytest
 
 import bridgelab.bounds as bounds_module
 import bridgelab.cli as cli_module
-from bridgelab import (NoConvergence, OffGrid, Potential, SolverOptions, gradient_flow,
-                       solve_bridge)
+from bridgelab import (DomainEscape, NoConvergence, OffGrid, Potential, SolverOptions,
+                       gradient_flow, solve_bridge)
 from bridgelab.cli import main
 from bridgelab.config import builtin_config_names, load_builtin_config, resolve_config
 from bridgelab.errors import ConfigError
@@ -248,6 +248,20 @@ def test_gaussian_mode_table(tmp_path):
     assert len(lines) == 3
 
 
+def test_gaussian_mode_with_vector_endpoints_is_a_config_error(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path,
+        {
+            **BASE,
+            "mode": "gaussian",
+            "potential": {"kind": "quadratic_isotropic", "dim": 2},
+            "endpoints": {"x": [0.0, 1.0], "y": [3.0, 1.0]},
+        },
+    )
+    assert main(["run", str(cfg), "--out-dir", str(tmp_path / "results")]) == 1
+    assert "config error: gaussian mode needs scalar endpoints" in capsys.readouterr().err
+
+
 def _exact_gaussian_cost(x0: float, x1: float, T: float) -> float:
     """The closed-form Gaussian-family cost, evaluated in 40-digit decimals."""
     with localcontext() as ctx:
@@ -284,6 +298,32 @@ def test_sweep_mode_emits_fits(tmp_path):
     rows = {(r.split(",")[0], r.split(",")[1]): r.split(",") for r in fits[1:]}
     exp = float(rows[("dist_flow_t1", "exponential")][2])
     assert exp == pytest.approx(-1.0, abs=0.05)
+
+
+def test_sweep_integrates_the_flow_to_t1_once_and_fails_each_case_with_it(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return gradient_flow(*args, **kwargs)
+
+    monkeypatch.setattr(cli_module, "gradient_flow", counted)
+    sweep = {**BASE, "mode": "sweep", "T_values": [0.5, 2.0, 3.0, 4.0],
+             "solver": {"method": "shooting", "grid_points": 201}}
+    assert main(["run", str(write_config(tmp_path, sweep)), "--out-dir", str(tmp_path / "a")]) == 0
+    assert calls == [1.0]
+
+    def failing(*args, **kwargs):
+        calls.append(args[2])
+        raise DomainEscape("the flow left the domain")
+
+    monkeypatch.setattr(cli_module, "gradient_flow", failing)
+    out = tmp_path / "b"
+    assert main(["run", str(write_config(tmp_path, sweep)), "--keep-going", "--out-dir", str(out)]) == 2
+    assert calls == [1.0, 1.0]
+    summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+    assert [case["T"] for case in summary["cases"]] == [0.5]
+    assert summary["failures"] == [{"T": T, "error": "the flow left the domain"} for T in (2.0, 3.0, 4.0)]
 
 
 def test_sweep_interpolates_the_bridge_when_t1_is_off_the_grid(tmp_path):

@@ -47,3 +47,27 @@ def test_every_error_type_is_raised_somewhere():
                 if isinstance(exc, ast.Name):
                     raised.add(exc.id)
     assert declared and not declared - raised, sorted(declared - raised)
+
+
+def test_only_the_closed_forms_and_the_config_reader_branch_on_a_potential_kind():
+    # potentials supply their derivatives; code does not branch on the kind
+    # string except to pick an exact formula or to build a builtin from JSON
+    allowed = {"_closed_form", "closed_form_flow", "potential_from_config"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        functions = [node for node in ast.walk(tree)
+                     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Compare):
+                continue
+            operands = [node.left, *node.comparators]
+            if not any(isinstance(op, ast.Attribute) and op.attr == "kind"
+                       or isinstance(op, ast.Name) and op.id == "kind" for op in operands):
+                continue
+            # the innermost function whose lines hold the comparison
+            owners = [f for f in functions if f.lineno <= node.lineno <= f.end_lineno]
+            owner = max(owners, key=lambda f: f.lineno).name if owners else "<module>"
+            found.append(owner)
+            assert owner in allowed, f"{path.name}:{node.lineno} compares a kind in {owner}"
+    assert set(found) == allowed

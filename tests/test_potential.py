@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from bridgelab import DomainError, Potential
+from bridgelab import DomainError, NoConvergence, Potential
 from bridgelab.potential import POSITIVE_ORTHANT
 
 A3 = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, -0.2], [0.0, -0.2, 3.0]])
@@ -129,6 +129,22 @@ def test_custom_minimizer_search():
     for fns, rho, tol in cases:
         P = Potential.custom(2, rho=rho, **fns)
         assert np.max(np.abs(P.grad(P.minimizer))) < tol
+
+
+def test_custom_minimizer_search_starts_inside_the_orthant():
+    # the origin is outside the positive orthant, so the search starts at ones
+    target = np.array([2.0, 0.5])
+    P = Potential.custom(2, lambda x: 0.5 * float((x - target) @ (x - target)),
+                         grad_fn=lambda x: x - target, hess_apply_fn=lambda x, v: v.copy(),
+                         rho=1.0, domain=POSITIVE_ORTHANT)
+    np.testing.assert_allclose(P.minimizer, target, rtol=0.0, atol=1e-12)
+
+
+def test_custom_minimizer_search_without_a_minimum_is_no_convergence():
+    # F = x_1 + x_2 has no minimizer, whatever rho the caller claims
+    with pytest.raises(NoConvergence, match="gradient sup-norm 1"):
+        Potential.custom(2, lambda x: float(np.sum(x)), grad_fn=lambda x: np.ones(2),
+                         hess_apply_fn=lambda x, v: np.zeros(2), rho=1.0)
 
 
 def test_gradients_match_central_differences_on_random_points():

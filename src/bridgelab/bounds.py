@@ -21,7 +21,7 @@ from .potential import Potential
 
 #: Reports pass when margin >= -BOUND_TOL * (1 + |rhs|).
 BOUND_TOL = 1e-8
-#: Default B3 fractions theta, and times t / T of the bounds taken at a node.
+#: Default fractions theta of B3, and default fractions t / T of the bounds read at a node.
 THETA_VALUES = tuple(k / 10.0 for k in range(1, 10))
 T_FRACTIONS = (0.25, 0.5, 0.75)
 

@@ -212,9 +212,13 @@ def _verify_one_orientation(P, x, y, T, sol, flow, c1, t_values, theta_values, o
         disc = max(C * C - 4.0 * (Fx - Fy) ** 2, 0.0)
         reports.append(_report("B5", abs(E), 2.0 * rho / _expm1(rho * T) * math.sqrt(disc), **base))
         for idx, tt in nodes:
-            denom = math.exp(-2.0 * rho * tt) - math.exp(-2.0 * rho * T)
-            if denom > 0:
-                rhs = tt * math.exp(-rho * T) * math.sqrt(2.0 * rho / denom * budget)
+            if tt < T:
+                # t e^{-rho T} sqrt(2 rho budget / (e^{-2 rho t} - e^{-2 rho T})) in
+                # T - t, without underflow: e^{-rho(T - t)} joins in log space, as
+                # alone it underflows past rho(T - t) = 745 before the product does
+                rest = rho * (T - tt)
+                scale = tt * math.sqrt(2.0 * rho * budget / -math.expm1(-2.0 * rest))
+                rhs = math.exp(math.log(scale) - rest) if scale > 0.0 else 0.0
                 reports.append(_report("B7", flow_gap(idx), rhs, t=tt, **base))
         if has_min:
             Fstar = P.value(P.minimizer)

@@ -132,9 +132,10 @@ SEGMENT_SPAN = 5.0
 #: SEGMENT_STEPS grid steps. A landing map is a sequential loop over the
 #: segment's RK4 steps, and each step costs about the same numpy overhead
 #: however many rows the batch holds, so many short segments are cheaper
-#: than a few long ones. A custom potential evaluates rows in a Python loop,
-#: so every extra segment costs it rows in the landing map and its Jacobian;
-#: it keeps the SEGMENT_SPAN rule alone.
+#: than a few long ones. A custom potential checks a batch once but still
+#: calls its pointwise functions in a Python loop over the rows, so every
+#: extra segment costs it rows in the landing map and its Jacobian; it keeps
+#: the SEGMENT_SPAN rule alone.
 SEGMENT_STEPS = 50
 
 

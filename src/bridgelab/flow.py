@@ -9,7 +9,7 @@ import numpy as np
 
 from ._integrate import integrate_grid
 from .errors import NonUniformGrid, OffGrid, UnsupportedKind
-from .potential import ALL_SPACE, NEG_LOG, QUADRATIC_ISOTROPIC, Potential
+from .potential import ALL_SPACE, NEG_LOG, QUADRATIC_ISOTROPIC, QUADRATIC_MATRIX, Potential
 
 #: Relative spacing variation tolerated before a grid counts as non-uniform.
 UNIFORMITY_RTOL = 1e-12
@@ -137,13 +137,20 @@ def gradient_flow(P: Potential, x0, T: float, steps: int | None = None, *,
     return flows if batch else flows[0]
 
 
-def closed_form_flow(kind: str, x0, t: float) -> np.ndarray:
-    """Exact gradient flow for the two solvable builtin potentials."""
+def closed_form_flow(P, x0, t: float) -> np.ndarray:
+    """Exact gradient flow of the builtin potential, or builtin kind, P; a
+    custom potential, or the quadratic-matrix kind without its matrix, is
+    UnsupportedKind. The quadratic-matrix flow is Q diag(e^{-lam t}) Q^T x0,
+    its last product an elementwise sum as in the bridge closed forms."""
     if t < 0:
         raise ValueError("t must be nonnegative")
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    kind = P.kind if isinstance(P, Potential) else P
     if kind == QUADRATIC_ISOTROPIC:
         return math.exp(-t) * x0
     if kind == NEG_LOG:
         return np.sqrt(2.0 * t + x0 * x0)
+    if kind == QUADRATIC_MATRIX and isinstance(P, Potential):
+        lam, Q = np.linalg.eigh(P.hessian(np.zeros(P.dim)))
+        return np.sum(np.exp(-lam * t) * (Q.T @ x0) * Q, axis=-1)
     raise UnsupportedKind(f"no closed-form flow for kind {kind!r}")

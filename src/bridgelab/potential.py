@@ -55,16 +55,16 @@ class Potential:
     """A twice differentiable convex function together with its certificates.
 
     ``value_fn``, ``grad_fn`` and ``force_fn`` (the force F''(x) F'(x)) are
-    shape-agnostic: each takes a point (d,) or rows (m, d) and does no domain
-    check. Builtin constructors supply one row expression each, which also
-    serves a point; ``custom()`` wraps the user's pointwise functions and
-    loops over the checked pointwise methods for rows. ``hess_apply_fn(x, v)``
-    takes a point and a direction.
+    shape-agnostic: each takes a point (d,) or rows (m, d). Builtin
+    constructors supply one row expression each, which also serves a point,
+    and does no domain check. ``custom()`` checks a batch of rows once, its
+    width and its domain, and then calls the user's pointwise functions on
+    each row. ``hess_apply_fn(x, v)`` takes a point and a direction.
     The pointwise methods check the point's shape and domain; the ``*_many``
-    methods call the callables on the rows as they are. ``batched_rows`` is
-    true when the row callables are single numpy expressions (the builtin
-    constructors), so a batch of rows costs about as much as one row; it is
-    false for ``custom()``, whose rows loop in Python.
+    methods hand the rows to the callables. ``batched_rows`` is true when the
+    row callables are single numpy expressions (the builtin constructors), so
+    a batch of rows costs about as much as one row; it is false for
+    ``custom()``, whose rows loop in Python.
 
     Instances are immutable after construction and all evaluations are pure,
     so they are safe to share across threads.
@@ -193,9 +193,11 @@ class Potential:
         fall back to central differences (gradient step sqrt(eps)*(1+|x|),
         Hessian step cbrt(eps)*(1+|x|)).
 
-        Rows are evaluated one at a time through the checked pointwise
-        methods, so a row outside the domain raises DomainError. The force is
-        hess_apply(x, grad(x)), checked the same way.
+        A batch of rows (m, dim) is checked once: rows of another width are
+        a ValueError, and a batch outside the domain is a DomainError naming
+        its first bad row. The user's functions are then called on each row.
+        The force is hess_apply(x, grad(x)); a gradient that is not finite
+        makes it raise ValueError("direction must be finite").
 
         When ``rho`` is positive and no minimizer is given, the minimizer is
         located by the damped Newton loop that the bridge solvers run, on the
@@ -221,8 +223,27 @@ class Potential:
             unit = v / nv
             return (pot.grad(x + h * unit) - pot.grad(x - h * unit)) * (nv / (2.0 * h))
 
-        def force(x):
-            return pot.hess_apply(x, pot.grad(x))
+        grad = fd_grad if grad_fn is None else grad_fn
+        hess_apply = fd_hess_apply if hess_apply_fn is None else hess_apply_fn
+
+        def checked(X):
+            if X.shape[1:] != (dim,):
+                raise ValueError(f"expected rows of dimension {dim}, got shape {X.shape}")
+            if not pot.in_domain(X):
+                bad = next(i for i, x in enumerate(X) if not pot.in_domain(x))
+                raise DomainError(f"row {bad}, {X[bad]}, outside domain of {CUSTOM}")
+            return X
+
+        def each_row(fn):
+            return lambda X: np.array([fn(x) for x in checked(X)], dtype=float)
+
+        grad_rows = each_row(grad)
+
+        def force_rows(X):
+            G = grad_rows(X)
+            if not np.isfinite(G).all():
+                raise ValueError("direction must be finite")
+            return np.array([hess_apply(x, g) for x, g in zip(X, G)], dtype=float)
 
         # the closures read `pot` when they are called, after it is bound here
         pot = cls(
@@ -231,11 +252,10 @@ class Potential:
             rho=rho,
             n_dim=n_dim,
             domain=domain,
-            value_fn=_by_shape(value_fn, lambda X: np.array([pot.value(row) for row in X])),
-            grad_fn=_by_shape(fd_grad if grad_fn is None else grad_fn,
-                              lambda X: np.array([pot.grad(row) for row in X])),
-            hess_apply_fn=fd_hess_apply if hess_apply_fn is None else hess_apply_fn,
-            force_fn=_by_shape(force, lambda X: np.array([force(row) for row in X])),
+            value_fn=_by_shape(value_fn, each_row(value_fn)),
+            grad_fn=_by_shape(grad, grad_rows),
+            hess_apply_fn=hess_apply,
+            force_fn=_by_shape(lambda x: force_rows(x[None])[0], force_rows),
             minimizer=minimizer,
             batched_rows=False,
         )

@@ -194,6 +194,18 @@ def test_every_bound_evaluates_at_rho_T_1000():
     assert b9["reversed"].context["t_opt"] == pytest.approx(T / 2 - 0.5 * math.log(2.0), rel=1e-15)
 
 
+def test_b7_reports_every_node_with_a_positive_rhs_at_rho_T_1000():
+    # e^{-2 rho t} - e^{-2 rho T} and e^{-rho T} underflow here; the rhs does not
+    P = Potential.quadratic_isotropic(1)
+    x, y, T = [1.0], [0.5], 1000.0
+    reports = verify_bounds(P, x, y, T, solution=closed_form_solution(P, x, y, T, 4001))
+    h = T / 4001
+    for orientation in ("forward", "reversed"):
+        b7 = [r for r in reports if r.bound_id == "B7" and r.context["orientation"] == orientation]
+        assert np.allclose([r.context["t"] for r in b7], [0.25 * T, 0.5 * T, 0.75 * T], atol=h)
+        assert all(0.0 < r.rhs < math.inf and r.passed for r in b7)
+
+
 def test_b9_is_zero_at_the_midpoint_when_both_endpoints_are_the_minimizer():
     P = Potential.quadratic_isotropic(2)
     x = [0.0, 0.0]

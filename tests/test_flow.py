@@ -54,6 +54,30 @@ def test_closed_form_flow_values():
         closed_form_flow("quadratic_matrix", [1.0], 1.0)
 
 
+def rotated(diagonal, angle=0.7):
+    c, s = math.cos(angle), math.sin(angle)
+    R = np.array([[c, -s], [s, c]])
+    return R @ np.diag(diagonal) @ R.T
+
+
+@pytest.mark.parametrize("A", [rotated([0.3, 2.5]), np.diag([1.0, 0.0])],
+                         ids=["rotated_0.3_2.5", "diag_1_0"])
+def test_closed_form_flow_of_a_quadratic_matrix_matches_gradient_flow(A):
+    P = Potential.quadratic_matrix(A)
+    x0 = [1.0, -0.5]
+    traj = gradient_flow(P, x0, 3.0, steps=3000)
+    exact = np.array([closed_form_flow(P, x0, t) for t in traj.times])
+    assert np.max(np.abs(traj.states - exact)) <= 1e-12
+
+
+def test_closed_form_flow_of_a_builtin_is_the_flow_of_its_kind():
+    for P, x0 in ((Potential.quadratic_isotropic(2), [2.0, -1.0]), (Potential.neg_log(2), [1.0, 3.0])):
+        for t in (0.0, 0.3, 7.0):
+            assert np.array_equal(closed_form_flow(P, x0, t), closed_form_flow(P.kind, x0, t))
+    with pytest.raises(UnsupportedKind):
+        closed_form_flow(Potential.custom(1, lambda x: float(x @ x)), [1.0], 1.0)
+
+
 def test_flow_velocities_are_negative_gradients():
     P = Potential.neg_log(2)
     traj = gradient_flow(P, [1.0, 2.0], 2.0)

@@ -239,3 +239,85 @@ def test_custom_rows_outside_the_domain_raise():
     for many in (P.value_many, P.grad_many, P.hess_grad_many):
         with pytest.raises(DomainError):
             many(X)
+
+
+def lse(dim):
+    """F(x) = log sum exp(x) + |x|^2/4, whose pointwise gradient shifts by
+    np.max over its whole argument, so it must never see a batch at once."""
+    def parts(x):
+        q = np.exp(x - np.max(x))
+        return q / q.sum()
+
+    def value(x):
+        m = float(np.max(x))
+        return m + float(np.log(np.sum(np.exp(x - m)))) + 0.25 * float(x @ x)
+
+    def hess_apply(x, v):
+        q = parts(x)
+        return q * v - q * float(q @ v) + 0.5 * v
+
+    return Potential.custom(dim, value, lambda x: parts(x) + 0.5 * x, hess_apply), \
+        (value, lambda x: parts(x) + 0.5 * x, hess_apply)
+
+
+def cosh(dim):
+    fns = (lambda x: float(np.sum(np.cosh(x))), np.sinh, lambda x, v: np.cosh(x) * v)
+    return Potential.custom(dim, *fns, rho=1.0), fns
+
+
+@pytest.mark.parametrize("family", [lse, cosh])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_custom_rows_are_bit_equal_to_the_user_functions_row_by_row(family, dim):
+    P, (value, grad, hess_apply) = family(dim)
+    # rows of very different size, so that a shift by the batch's max would show
+    X = np.random.default_rng(dim).normal(scale=3.0, size=(7, dim)) + np.arange(7)[:, None]
+    assert np.array_equal(P.value_many(X), np.array([value(x) for x in X]))
+    assert np.array_equal(P.grad_many(X), np.array([grad(x) for x in X]))
+    assert np.array_equal(P.hess_grad_many(X), np.array([hess_apply(x, grad(x)) for x in X]))
+    for name, rows, points in rows_and_points(P, X):
+        assert np.array_equal(rows, points), name
+
+
+def test_a_row_whose_gradient_overflows_raises_as_its_point_does():
+    P, _ = cosh(2)
+    row = np.array([800.0, 0.0])  # finite, but sinh(800) overflows
+    with pytest.raises(ValueError) as point_error:
+        with np.errstate(over="ignore"):
+            P.hess_grad(row)
+    with pytest.raises(ValueError) as rows_error:
+        with np.errstate(over="ignore"):
+            P.hess_grad_many(np.array([[0.5, -0.5], row]))
+    assert str(rows_error.value) == str(point_error.value) == "direction must be finite"
+
+
+def test_a_custom_batch_outside_the_domain_names_its_first_bad_row():
+    P = log_cosh(2)
+    X = np.array([[1.0, 2.0], [0.5, -1.0], [np.inf, 0.0], [np.nan, 1.0]])
+    for many in (P.value_many, P.grad_many, P.hess_grad_many):
+        with pytest.raises(DomainError, match=r"row 2\b"):
+            many(X)
+
+
+def test_custom_rows_of_the_wrong_width_raise_value_error():
+    P = log_cosh(2)
+    for X in (np.ones((3, 3)), np.ones((3, 1)), np.ones((2, 3, 2))):
+        for many in (P.value_many, P.grad_many, P.hess_grad_many):
+            with pytest.raises(ValueError, match="dimension 2"):
+                many(X)
+
+
+def test_a_custom_force_batch_checks_its_domain_once(monkeypatch):
+    calls = []
+    in_domain = Potential.in_domain
+
+    def counted(self, x):
+        calls.append(np.shape(x))
+        return in_domain(self, x)
+
+    for P in (log_cosh(3), log_cosh(3, domain=POSITIVE_ORTHANT)):
+        X = np.random.default_rng(3).uniform(0.5, 2.0, size=(6, 3))
+        monkeypatch.setattr(Potential, "in_domain", counted)
+        calls.clear()
+        P.hess_grad_many(X)
+        monkeypatch.undo()
+        assert calls == [(6, 3)]

@@ -46,25 +46,18 @@ def as_count(value, what: str) -> int:
     return n
 
 
-def _by_shape(point_fn, rows_fn):
-    """One callable for a point (d,) and for rows (m, d), dispatching on ndim."""
-    return lambda X: point_fn(X) if X.ndim == 1 else rows_fn(X)
-
-
 class Potential:
     """A twice differentiable convex function together with its certificates.
 
-    ``value_fn``, ``grad_fn`` and ``force_fn`` (the force F''(x) F'(x)) are
-    shape-agnostic: each takes a point (d,) or rows (m, d). Builtin
-    constructors supply one row expression each, which also serves a point,
-    and does no domain check. ``custom()`` checks a batch of rows once, its
-    width and its domain, and then calls the user's pointwise functions on
-    each row. ``hess_apply_fn(x, v)`` takes a point and a direction.
-    The pointwise methods check the point's shape and domain; the ``*_many``
-    methods hand the rows to the callables. ``batched_rows`` is true when the
-    row callables are single numpy expressions (the builtin constructors), so
-    a batch of rows costs about as much as one row; it is false for
-    ``custom()``, whose rows loop in Python.
+    All four callables take rows (m, d): ``value_fn(X)`` (m,), ``grad_fn(X)``,
+    ``hess_apply_fn(X, V)`` (row i is F''(X_i) V_i) and ``force_fn(X)`` (the
+    force F''(x) F'(x)). Builtin constructors supply one numpy expression
+    each, with no domain check; ``custom()`` checks a batch's width and
+    domain once and calls the user's pointwise functions on each row. The
+    pointwise methods check their point's shape and domain and evaluate it
+    as a one-row batch; the ``*_many`` methods hand the rows to the
+    callables. ``batched_rows`` is true for single numpy expressions (the
+    builtins), whose batch costs about one row; it is false for ``custom()``.
 
     Instances are immutable after construction and all evaluations are pure,
     so they are safe to share across threads.
@@ -85,12 +78,12 @@ class Potential:
         minimizer: Optional[np.ndarray] = None,
         batched_rows: bool = False,
     ):
-        if dim < 1:
+        self.dim = as_count(dim, "dim")
+        if self.dim < 1:
             raise ValueError("dim must be a positive integer")
         if domain not in (ALL_SPACE, POSITIVE_ORTHANT):
             raise ValueError(f"unknown domain {domain!r}")
         self.kind = kind
-        self.dim = int(dim)
         self.rho = None if rho is None else float(rho)
         self.n_dim = float(n_dim)
         self.domain = domain
@@ -111,6 +104,7 @@ class Potential:
     @classmethod
     def quadratic_isotropic(cls, dim: int = 1) -> "Potential":
         """F(x) = |x|^2 / 2, a (1, inf)-convex potential minimized at 0."""
+        dim = as_count(dim, "dim")
         return cls(
             QUADRATIC_ISOTROPIC,
             dim,
@@ -119,7 +113,7 @@ class Potential:
             domain=ALL_SPACE,
             value_fn=lambda X: 0.5 * np.sum(X * X, axis=-1),
             grad_fn=lambda X: X.copy(),
-            hess_apply_fn=lambda x, v: v.copy(),
+            hess_apply_fn=lambda X, V: V.copy(),
             force_fn=lambda X: X.copy(),
             minimizer=np.zeros(dim),
             batched_rows=True,
@@ -130,10 +124,10 @@ class Potential:
         """F(x) = x . A x / 2 for symmetric A; rho is the smallest eigenvalue.
 
         A is symmetrised once, 0.5 (A + A^T), which leaves a symmetric A as
-        it is, so the row products X A and (X A) A are the gradient and the
-        force for rows and for a point alike. From dimension 4 on, BLAS may
-        multiply a point and a batch with different kernels, so the two can
-        differ in the last bit.
+        it is, so the row products X A, V A and (X A) A are the gradient, the
+        Hessian action and the force. From dimension 4 on, BLAS may multiply
+        one row and a batch of rows with different kernels, so a point and
+        the same row inside a batch can differ in the last bit.
         """
         A = np.array(matrix, dtype=float)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -154,7 +148,7 @@ class Potential:
             domain=ALL_SPACE,
             value_fn=lambda X: 0.5 * np.sum((X @ A) * X, axis=-1),
             grad_fn=lambda X: X @ A,
-            hess_apply_fn=lambda x, v: A @ v,
+            hess_apply_fn=lambda X, V: V @ A,
             force_fn=lambda X: (X @ A) @ A,
             minimizer=minimizer,
             batched_rows=True,
@@ -163,6 +157,7 @@ class Potential:
     @classmethod
     def neg_log(cls, dim: int = 1) -> "Potential":
         """F(x) = -sum(log x_i) on the positive orthant, (0, dim)-convex."""
+        dim = as_count(dim, "dim")
         return cls(
             NEG_LOG,
             dim,
@@ -171,7 +166,7 @@ class Potential:
             domain=POSITIVE_ORTHANT,
             value_fn=lambda X: -np.sum(np.log(X), axis=-1),
             grad_fn=lambda X: -1.0 / X,
-            hess_apply_fn=lambda x, v: v / (x * x),
+            hess_apply_fn=lambda X, V: V / (X * X),
             force_fn=lambda X: -1.0 / (X * X * X),
             batched_rows=True,
         )
@@ -193,18 +188,19 @@ class Potential:
         fall back to central differences (gradient step sqrt(eps)*(1+|x|),
         Hessian step cbrt(eps)*(1+|x|)).
 
-        A batch of rows (m, dim) is checked once: rows of another width are
-        a ValueError, and a batch outside the domain is a DomainError naming
-        its first bad row. The user's functions are then called on each row.
-        The force is hess_apply(x, grad(x)); a gradient that is not finite
-        makes it raise ValueError("direction must be finite").
+        All four row callables go through one adapter: a batch (m, dim) is
+        checked once (another width is a ValueError, a batch outside the
+        domain a DomainError naming its first bad row), then the user's
+        functions run on each row; a point is a one-row batch. A row's force
+        is hess_apply(x, grad(x)); a gradient that is not finite makes it
+        raise ValueError("direction must be finite").
 
         When ``rho`` is positive and no minimizer is given, the minimizer is
         located by the damped Newton loop that the bridge solvers run, on the
         gradient with the Hessian assembled from ``hess_apply``; a search
         that ends with a gradient sup-norm of 1e-8 or more is NoConvergence.
         """
-        dim = int(dim)
+        dim = as_count(dim, "dim")
 
         def fd_grad(x):
             h = GRAD_STEP * (1.0 + float(np.linalg.norm(x)))
@@ -221,29 +217,29 @@ class Potential:
                 return np.zeros(dim)
             h = HESS_STEP * (1.0 + float(np.linalg.norm(x)))
             unit = v / nv
-            return (pot.grad(x + h * unit) - pot.grad(x - h * unit)) * (nv / (2.0 * h))
+            plus, minus = pot.grad_many(np.array([x + h * unit, x - h * unit]))
+            return (plus - minus) * (nv / (2.0 * h))
 
         grad = fd_grad if grad_fn is None else grad_fn
         hess_apply = fd_hess_apply if hess_apply_fn is None else hess_apply_fn
 
-        def checked(X):
-            if X.shape[1:] != (dim,):
-                raise ValueError(f"expected rows of dimension {dim}, got shape {X.shape}")
-            if not pot.in_domain(X):
-                bad = next(i for i, x in enumerate(X) if not pot.in_domain(x))
-                raise DomainError(f"row {bad}, {X[bad]}, outside domain of {CUSTOM}")
-            return X
+        def force(x):
+            g = np.asarray(grad(x), dtype=float)
+            if not np.isfinite(g).all():
+                raise ValueError("direction must be finite")
+            return hess_apply(x, g)
 
         def each_row(fn):
-            return lambda X: np.array([fn(x) for x in checked(X)], dtype=float)
-
-        grad_rows = each_row(grad)
-
-        def force_rows(X):
-            G = grad_rows(X)
-            if not np.isfinite(G).all():
-                raise ValueError("direction must be finite")
-            return np.array([hess_apply(x, g) for x, g in zip(X, G)], dtype=float)
+            """fn on each row of a batch X, with the matching row of V for a
+            Hessian action, after one check of the batch's width and domain."""
+            def rows(X, *V):
+                if X.shape[1:] != (dim,):
+                    raise ValueError(f"expected rows of dimension {dim}, got shape {X.shape}")
+                if not pot.in_domain(X):
+                    bad = next(i for i, x in enumerate(X) if not pot.in_domain(x))
+                    raise DomainError(f"row {bad}, {X[bad]}, outside domain of {CUSTOM}")
+                return np.array([fn(*row) for row in zip(X, *V)], dtype=float)
+            return rows
 
         # the closures read `pot` when they are called, after it is bound here
         pot = cls(
@@ -252,10 +248,10 @@ class Potential:
             rho=rho,
             n_dim=n_dim,
             domain=domain,
-            value_fn=_by_shape(value_fn, each_row(value_fn)),
-            grad_fn=_by_shape(grad, grad_rows),
-            hess_apply_fn=hess_apply,
-            force_fn=_by_shape(lambda x: force_rows(x[None])[0], force_rows),
+            value_fn=each_row(value_fn),
+            grad_fn=each_row(grad),
+            hess_apply_fn=each_row(hess_apply),
+            force_fn=each_row(force),
             minimizer=minimizer,
             batched_rows=False,
         )
@@ -281,31 +277,34 @@ class Potential:
     # -- pointwise evaluation --------------------------------------------------
 
     def value(self, x) -> float:
-        return float(self._value_fn(self.check_domain(x)))
+        return float(self._value_fn(self.check_domain(x)[None])[0])
 
     def grad(self, x) -> np.ndarray:
-        return np.asarray(self._grad_fn(self.check_domain(x)), dtype=float)
+        return self._grad_fn(self.check_domain(x)[None])[0]
 
     def hess_apply(self, x, v) -> np.ndarray:
         x = self.check_domain(x)
         v = as_point(v, self.dim)
         if not np.all(np.isfinite(v)):
             raise ValueError("direction must be finite")
-        return np.asarray(self._hess_apply_fn(x, v), dtype=float)
+        return self._hess_apply_fn(x[None], v[None])[0]
 
     def hessian(self, x) -> np.ndarray:
-        """F''(x) as a (d, d) matrix, one ``hess_apply`` per column."""
-        return np.column_stack([self.hess_apply(x, e) for e in np.eye(self.dim)])
+        """F''(x) as a (d, d) matrix: one ``hess_apply_fn`` batch of d rows,
+        column j the action on the j-th unit vector."""
+        x = self.check_domain(x)
+        return self._hess_apply_fn(np.tile(x, (self.dim, 1)), np.eye(self.dim)).T
 
     def hess_grad(self, x) -> np.ndarray:
         """F''(x) F'(x), the force field of the Newton boundary-value problem.
 
         Like every public pointwise method it checks the point's shape and
-        domain on entry (DomainError outside). The shooting integrator does
-        not come through here: it checks each RK4 stage state once with its
-        own guard and then calls ``force_fn``.
+        domain on entry (DomainError outside) and evaluates it as a one-row
+        batch of ``force_fn``. The shooting integrator does not come through
+        here: it checks each RK4 stage state with its own guard and then
+        calls ``force_fn`` on the stage rows.
         """
-        return self.force_fn(self.check_domain(x))
+        return self.force_fn(self.check_domain(x)[None])[0]
 
     # -- vectorized evaluation over a batch of points ---------------------------
 
@@ -372,11 +371,11 @@ def potential_from_config(desc: dict) -> Potential:
     """
     kind = desc.get("kind")
     if kind == QUADRATIC_ISOTROPIC:
-        return Potential.quadratic_isotropic(as_count(desc.get("dim", 1), "dim"))
+        return Potential.quadratic_isotropic(desc.get("dim", 1))
     if kind == QUADRATIC_MATRIX:
         if "matrix" not in desc:
             raise ValueError("quadratic_matrix potential needs a 'matrix' entry")
         return Potential.quadratic_matrix(desc["matrix"])
     if kind == NEG_LOG:
-        return Potential.neg_log(as_count(desc.get("dim", 1), "dim"))
+        return Potential.neg_log(desc.get("dim", 1))
     raise ValueError(f"unknown potential kind {kind!r}")

@@ -455,47 +455,51 @@ def test_custom_potential_keeps_one_segment_at_the_far_cosh_geometry():
     assert len(bridge_module._segment_starts(_quadratic_custom(2), 3.8, steps)[0]) == 1
 
 
-def _unmerged_twin(P):
-    """P with ``batched_rows`` off: the same callables, shot in two passes
-    per iterate (landing map, then Jacobian)."""
-    return Potential(P.kind, P.dim, rho=P.rho, n_dim=P.n_dim, domain=P.domain,
-                     value_fn=P._value_fn, grad_fn=P._grad_fn,
-                     hess_apply_fn=P._hess_apply_fn, force_fn=P.force_fn,
-                     minimizer=P.minimizer, batched_rows=False)
-
-
-# both segment rules give the same M here, so the twin shoots the same segments
+# M segments, with k = 50 steps each
 MERGE_CASES = [
     (Potential.quadratic_isotropic(1), [2.0], [1.0], 20.0, 201, 4, (2, 3)),
     (Potential.neg_log(1), [1.0], [1.5], 15.0, 151, 3, (6, 11)),
+    (_quadratic_custom(1), [2.0], [1.0], 20.0, 201, 4, (2, 3)),
 ]
+MERGE_IDS = ["quadratic", "neg_log", "custom"]
 
 
-def _counting_phase(monkeypatch, fail_above=None):
-    """Count ``_integrate_phase`` calls; a batch of more than ``fail_above``
-    rows raises DomainEscape."""
+def _counting_phase(monkeypatch, fails=lambda width: False):
+    """Count ``_integrate_phase`` calls by batch width; a batch whose width
+    ``fails`` accepts raises DomainEscape."""
     calls = []
     phase = bridge_module._integrate_phase
 
     def counted(P, Z0, T, steps):
         calls.append(len(Z0))
-        if fail_above is not None and len(Z0) > fail_above:
-            raise DomainEscape("patched: batch wider than the segment count")
+        if fails(len(Z0)):
+            raise DomainEscape("patched: a perturbed row escapes")
         return phase(P, Z0, T, steps)
 
     monkeypatch.setattr(bridge_module, "_integrate_phase", counted)
     return calls
 
 
-@pytest.mark.parametrize("P, x, y, T, nodes, M, counts", MERGE_CASES, ids=["quadratic", "neg_log"])
+def _widths(P, M):
+    """(merged batch, Jacobian rows) widths: M + n and n = 2dM - d."""
+    n = 2 * P.dim * M - P.dim
+    return M + n, n
+
+
+@pytest.mark.parametrize("P, x, y, T, nodes, M, counts", MERGE_CASES, ids=MERGE_IDS)
 def test_merged_landing_and_jacobian_batch_matches_two_passes(monkeypatch, P, x, y, T, nodes,
                                                               M, counts):
+    # the two-pass reference is the same potential with every merged batch
+    # escaping: each iterate then falls back to its M rows, and each Newton
+    # step integrates the n Jacobian rows by itself
     opts = SolverOptions(method="shooting", grid_points=nodes)
-    twin = _unmerged_twin(P)
+    wide, n = _widths(P, M)
     calls = _counting_phase(monkeypatch)
     merged = solve_bridge_shooting(P, x, y, T, opts)
     n_merged = len(calls)
-    separate = solve_bridge_shooting(twin, x, y, T, opts)
+    assert set(calls) == {wide}
+    calls = _counting_phase(monkeypatch, fails=lambda width: width == wide)
+    separate = solve_bridge_shooting(P, x, y, T, opts)
     assert merged.context["segments"] == separate.context["segments"] == M
     assert np.array_equal(merged.trajectory.states, separate.trajectory.states)
     assert np.array_equal(merged.trajectory.velocities, separate.trajectory.velocities)
@@ -503,25 +507,50 @@ def test_merged_landing_and_jacobian_batch_matches_two_passes(monkeypatch, P, x,
     assert merged.boundary_error == separate.boundary_error
     assert merged.iterations == separate.iterations
     # one batch per evaluation against an extra Jacobian pass per Newton step
-    assert (n_merged, len(calls) - n_merged) == counts
+    two_pass = [width for width in calls if width != wide]
+    assert (n_merged, len(two_pass)) == counts and calls.count(wide) == n_merged
     assert counts[1] == counts[0] + merged.iterations - 1
-    assert set(calls[:n_merged]) == {M + 2 * P.dim * M - P.dim}
+    assert set(two_pass) == {M, n}
 
 
-@pytest.mark.parametrize("P, x, y, T, nodes, M, counts", MERGE_CASES, ids=["quadratic", "neg_log"])
+@pytest.mark.parametrize("P, x, y, T, nodes, M, counts", MERGE_CASES, ids=MERGE_IDS)
 def test_failed_merged_batch_keeps_every_newton_decision(monkeypatch, P, x, y, T, nodes, M,
                                                          counts):
-    # every batch wider than the segment starts escapes: the merged solve
-    # must end as the two-pass solve does, with no step after its start
+    # every batch wider than the segment starts escapes: the solve must end
+    # as the two-pass solve whose Jacobian escapes does, judging its start
+    # by the M rows alone and taking no step after it
     opts = SolverOptions(method="shooting", grid_points=nodes)
-    _counting_phase(monkeypatch, fail_above=M)
+    wide, n = _widths(P, M)
     outcomes = []
-    for potential in (P, _unmerged_twin(P)):
+    for fails in (lambda width: width > M, lambda width: width in (wide, n)):
+        calls = _counting_phase(monkeypatch, fails)
         with pytest.raises(NoConvergence) as info:
-            solve_bridge_shooting(potential, x, y, T, opts)
+            solve_bridge_shooting(P, x, y, T, opts)
         outcomes.append(str(info.value))
+        assert calls == [wide, M, n]
     assert outcomes[0] == outcomes[1]
     assert "after 1 iterations" in outcomes[0]
+
+
+def test_custom_shooting_integrates_one_batch_per_evaluated_iterate(monkeypatch):
+    # the 2-D cosh potential on two segments: every evaluation, line-search
+    # trials and the converged iterate included, is one merged batch
+    P = Potential.custom(2, lambda x: float(np.sum(np.cosh(x))), np.sinh,
+                         lambda x, v: np.cosh(x) * v, rho=1.0)
+    opts = SolverOptions(method="shooting", grid_points=401)
+    evaluated = []
+    newton = bridge_module._damped_newton
+
+    def counted_newton(evaluate, newton_step, u, tol):
+        return newton(lambda v: evaluated.append(v) or evaluate(v), newton_step, u, tol)
+
+    monkeypatch.setattr(bridge_module, "_damped_newton", counted_newton)
+    calls = _counting_phase(monkeypatch)
+    sol = solve_bridge_shooting(P, [1.0, 0.5], [0.5, -1.0], 8.0, opts)
+    M = sol.context["segments"]
+    assert M == 2 and sol.boundary_error < opts.tol_boundary
+    assert len(evaluated) >= sol.iterations > 1
+    assert calls == [_widths(P, M)[0]] * len(evaluated)
 
 
 def _dense_shooting_jacobian(jac):

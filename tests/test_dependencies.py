@@ -49,10 +49,25 @@ def test_every_error_type_is_raised_somewhere():
     assert declared and not declared - raised, sorted(declared - raised)
 
 
+KIND_CONSTANTS = ("QUADRATIC_ISOTROPIC", "QUADRATIC_MATRIX", "NEG_LOG", "CUSTOM")
+
+
+def _names_a_kind(node) -> bool:
+    """Whether an operand is ``kind``, ``P.kind``, a kind constant, or a
+    tuple, list or set holding one."""
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return any(_names_a_kind(item) for item in node.elts)
+    return (isinstance(node, ast.Attribute) and node.attr == "kind"
+            or isinstance(node, ast.Name) and node.id in {"kind", *KIND_CONSTANTS})
+
+
 def test_only_the_closed_forms_and_the_config_reader_branch_on_a_potential_kind():
     # potentials supply their derivatives; code does not branch on the kind
     # string except to pick an exact formula or to build a builtin from JSON
     allowed = {"_closed_form", "closed_form_flow", "potential_from_config"}
+    constants = ast.parse((SRC / "potential.py").read_text(encoding="utf-8"))
+    assert set(KIND_CONSTANTS) <= {target.id for node in constants.body
+                                   if isinstance(node, ast.Assign) for target in node.targets}
     found = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -61,9 +76,7 @@ def test_only_the_closed_forms_and_the_config_reader_branch_on_a_potential_kind(
         for node in ast.walk(tree):
             if not isinstance(node, ast.Compare):
                 continue
-            operands = [node.left, *node.comparators]
-            if not any(isinstance(op, ast.Attribute) and op.attr == "kind"
-                       or isinstance(op, ast.Name) and op.id == "kind" for op in operands):
+            if not any(_names_a_kind(op) for op in [node.left, *node.comparators]):
                 continue
             # the innermost function whose lines hold the comparison
             owners = [f for f in functions if f.lineno <= node.lineno <= f.end_lineno]

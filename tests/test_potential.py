@@ -7,6 +7,7 @@ from bridgelab import DomainError, NoConvergence, Potential
 from bridgelab.potential import POSITIVE_ORTHANT
 
 A3 = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, -0.2], [0.0, -0.2, 3.0]])
+A2 = np.array([[2.0, 0.5], [0.5, 1.0]])
 
 
 def log_cosh(dim, analytic=True, domain="all_space"):
@@ -221,16 +222,27 @@ def test_potential_from_config_roundtrip():
 
 @pytest.mark.parametrize(
     "P",
-    [Potential.neg_log(1), Potential.neg_log(3), log_cosh(2), log_cosh(2, analytic=False),
-     Potential.quadratic_isotropic(1), Potential.quadratic_isotropic(3),
+    [Potential.neg_log(1), Potential.neg_log(2), Potential.neg_log(3), log_cosh(2),
+     log_cosh(2, analytic=False), Potential.quadratic_isotropic(1),
+     Potential.quadratic_isotropic(2), Potential.quadratic_isotropic(3),
+     Potential.quadratic_matrix([[2.0]]), Potential.quadratic_matrix(A2),
      Potential.quadratic_matrix(A3)],
-    ids=["neg_log_1", "neg_log_3", "custom_analytic", "custom_fd",
-         "isotropic_1", "isotropic_3", "matrix_3"],
+    ids=["neg_log_1", "neg_log_2", "neg_log_3", "custom_analytic", "custom_fd",
+         "isotropic_1", "isotropic_2", "isotropic_3", "matrix_1", "matrix_2", "matrix_3"],
 )
 def test_row_evaluators_equal_stacked_pointwise_results(P):
-    X = np.random.default_rng(17).uniform(0.3, 3.0, size=(9, P.dim))
+    rng = np.random.default_rng(17)
+    X = rng.uniform(0.3, 3.0, size=(9, P.dim))
+    V = rng.normal(size=(9, P.dim))
     for name, rows, points in rows_and_points(P, X):
         assert np.array_equal(rows, points), name
+    # every callable takes rows, the Hessian action a direction per row too
+    actions = np.array([P.hess_apply(x, v) for x, v in zip(X, V)])
+    assert np.array_equal(P._hess_apply_fn(X, V), actions)
+    # the Hessian is one batch of d rows, column j the action on e_j
+    for x in X:
+        columns = np.column_stack([P.hess_apply(x, e) for e in np.eye(P.dim)])
+        assert np.array_equal(P.hessian(x), columns)
 
 
 def test_custom_rows_outside_the_domain_raise():
@@ -290,20 +302,38 @@ def test_a_row_whose_gradient_overflows_raises_as_its_point_does():
     assert str(rows_error.value) == str(point_error.value) == "direction must be finite"
 
 
+def row_callables(P):
+    """The batch evaluators, with the Hessian action taking all-ones directions."""
+    return (P.value_many, P.grad_many, P.hess_grad_many,
+            lambda X: P._hess_apply_fn(X, np.ones(X.shape)))
+
+
 def test_a_custom_batch_outside_the_domain_names_its_first_bad_row():
     P = log_cosh(2)
     X = np.array([[1.0, 2.0], [0.5, -1.0], [np.inf, 0.0], [np.nan, 1.0]])
-    for many in (P.value_many, P.grad_many, P.hess_grad_many):
+    for many in row_callables(P):
         with pytest.raises(DomainError, match=r"row 2\b"):
             many(X)
+    orthant = log_cosh(2, domain=POSITIVE_ORTHANT)
+    with pytest.raises(DomainError, match=r"row 1\b"):
+        orthant._hess_apply_fn(X, np.ones(X.shape))
 
 
 def test_custom_rows_of_the_wrong_width_raise_value_error():
     P = log_cosh(2)
     for X in (np.ones((3, 3)), np.ones((3, 1)), np.ones((2, 3, 2))):
-        for many in (P.value_many, P.grad_many, P.hess_grad_many):
+        for many in row_callables(P):
             with pytest.raises(ValueError, match="dimension 2"):
                 many(X)
+
+
+@pytest.mark.parametrize("build", [lambda: Potential.neg_log(2.5),
+                                   lambda: Potential.custom(1.7, lambda x: float(x @ x)),
+                                   lambda: Potential.quadratic_isotropic(True)],
+                         ids=["neg_log_fraction", "custom_fraction", "isotropic_bool"])
+def test_a_dimension_that_is_not_a_whole_number_is_a_value_error(build):
+    with pytest.raises(ValueError, match="dim must be a whole number"):
+        build()
 
 
 def test_a_custom_force_batch_checks_its_domain_once(monkeypatch):

@@ -14,7 +14,7 @@ from .errors import DomainEscape, NonFinite
 def integrate_grid(
     rhs: Callable[[np.ndarray], np.ndarray],
     z0: np.ndarray,
-    T: float,
+    T: float | np.ndarray,
     steps: int,
     feasible: Optional[Callable[[np.ndarray], bool]] = None,
 ) -> np.ndarray:
@@ -22,8 +22,10 @@ def integrate_grid(
 
     `z0` is one state (n,) or a batch of rows (m, n); `rhs` and `feasible`
     are called on arrays of that shape and the result has shape
-    (steps + 1,) + z0.shape. Rows never interact, so a row of a batch follows
-    exactly the path it would follow on its own.
+    (steps + 1,) + z0.shape. `T` is one horizon, or for a batch an (m,)
+    array of per-row horizons, each row then stepping by its own T / steps.
+    Rows never interact, so a row of a batch follows exactly the path it
+    would follow on its own.
 
     When a `feasible` predicate is given, it is the one domain check: it must
     be true on a batch exactly when it is true on each of its rows. It runs
@@ -37,7 +39,7 @@ def integrate_grid(
     if steps < 1:
         raise ValueError("steps must be >= 1")
     z = np.asarray(z0, dtype=float)
-    h = T / steps
+    h = T / steps if np.ndim(T) == 0 else (np.asarray(T, dtype=float) / steps)[:, None]
 
     def inside(z):
         if feasible is not None and not feasible(z):

@@ -10,6 +10,7 @@ coordinate, the quadratics mode by mode along the eigenvectors of A.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -19,7 +20,7 @@ from .errors import DomainEscape, NoConvergence, NonFinite, UnsupportedKind
 from .flow import Trajectory, default_steps, gradient_flow
 from .functionals import energy_stats, trapezoid_cost
 from .potential import (ALL_SPACE, NEG_LOG, QUADRATIC_ISOTROPIC, QUADRATIC_MATRIX, Potential,
-                        potential_from_config)
+                        as_count, potential_from_config)
 
 
 METHODS = ("shooting", "action", "auto")
@@ -29,11 +30,12 @@ METHODS = ("shooting", "action", "auto")
 class SolverOptions:
     """Knobs shared by the bridge solvers, checked once on construction.
 
-    ``grid_points`` is the number of nodes of the returned trajectory, at
-    least 3 (default ``default_steps(T) + 1``); ``method`` is one of
-    ``shooting``, ``action`` or ``auto`` (shooting first, action on
-    failure); ``tol_boundary`` is finite and positive. A value out of range
-    is a ValueError. The iteration budget is the Newton loop's own.
+    ``grid_points`` is the number of nodes of the returned trajectory, a
+    whole number at least 3 (default ``default_steps(T) + 1``); ``method``
+    is one of ``shooting``, ``action`` or ``auto`` (shooting first, action
+    on failure); ``tol_boundary`` is a finite positive real number. A value
+    of another type or out of range is a ValueError. The iteration budget
+    is the Newton loop's own.
     """
 
     method: str = "auto"
@@ -43,14 +45,16 @@ class SolverOptions:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-        if not 0.0 < self.tol_boundary < math.inf:
-            raise ValueError("tol_boundary must be finite and positive")
-        if self.grid_points is not None and self.grid_points < 3:
-            raise ValueError("grid_points must be >= 3")
+        if not (isinstance(self.tol_boundary, numbers.Real) and 0.0 < self.tol_boundary < math.inf):
+            raise ValueError(f"tol_boundary must be finite and positive, got {self.tol_boundary!r}")
+        if self.grid_points is not None:
+            object.__setattr__(self, "grid_points", as_count(self.grid_points, "grid_points"))
+            if self.grid_points < 3:
+                raise ValueError("grid_points must be >= 3")
 
     def nodes(self, T: float) -> int:
         if self.grid_points is not None:
-            return int(self.grid_points)
+            return self.grid_points
         return default_steps(T) + 1
 
 
@@ -102,9 +106,11 @@ def _finish_solution(traj, P, solver, boundary_error, iterations, **context) -> 
 # -- shooting -----------------------------------------------------------------
 
 
-def _integrate_phase(P: Potential, Z0: np.ndarray, T: float, steps: int) -> np.ndarray:
+def _integrate_phase(P: Potential, Z0: np.ndarray, T: float | np.ndarray,
+                     steps: int) -> np.ndarray:
     """Integrate the phase-space Newton system from rows (m, 2d) of states as
-    one batch; returns (steps + 1, m, 2d)."""
+    one batch, over one horizon T or per-row horizons (m,); returns
+    (steps + 1, m, 2d)."""
     d = P.dim
     # integrate_grid runs `feasible` on every stage state before rhs sees it,
     # so a builtin force is evaluated without checking the state again; a
@@ -136,11 +142,21 @@ SEGMENT_SPAN = 5.0
 #: however many rows the batch holds, so many short segments are cheaper
 #: than a few long ones. A custom potential calls its pointwise functions in
 #: a Python loop over the rows, so its cost follows the row count, and every
-#: extra segment adds 2d + 1 rows to each batch; it keeps the SEGMENT_SPAN
-#: rule alone. On 22 solves of 2-3-D analytic custom potentials (cosh,
-#: quartic, log-sum-exp) short segments took 4.6 s against about 3.7 s, and
-#: landed two far cosh bridges, which fail here, with energy drifts of 3e-6.
+#: extra segment adds a row to each landing map and 2d + 1 rows to each
+#: Jacobian batch; it keeps the SEGMENT_SPAN rule alone. On 22 solves of
+#: 2-3-D analytic custom potentials (cosh, quartic, log-sum-exp) short
+#: segments took 4.6 s against about 3.7 s, with the Jacobian then still on
+#: the fine grid, and landed two far cosh bridges, which fail here, with
+#: energy drifts of 3e-6.
 SEGMENT_STEPS = 50
+
+#: A potential without ``batched_rows`` integrates its Newton Jacobian on a
+#: coarse grid: kc = min(k, ceil(t * max(lam, 1) / JACOBIAN_STEP)) RK4 steps
+#: for a segment of t time units, lam the largest eigenvalue of F'' at x and
+#: y (``_jacobian_steps``). The Jacobian only steers Newton, whose residual
+#: stays on the fine grid; a step of 0.2 / lam, or a fixed 0.08 time units,
+#: added Newton iterations on quartic and cosh solves.
+JACOBIAN_STEP = 0.1
 
 
 def _segment_starts(P: Potential, T: float, steps: int) -> tuple[np.ndarray, int]:
@@ -159,6 +175,16 @@ def _segment_starts(P: Potential, T: float, steps: int) -> tuple[np.ndarray, int
     k = math.ceil(steps / max(min(wanted, steps // 2), 1))
     M = math.ceil(steps / k)
     return np.array([j * k for j in range(M - 1)] + [steps - k]), k
+
+
+def _jacobian_steps(P: Potential, x, y, span: float, k: int) -> int:
+    """RK4 steps kc of the coarse Jacobian batch for segments of at most
+    ``span`` time units and k fine steps (see JACOBIAN_STEP); k when the
+    curvature at x and y is not finite."""
+    lam = _largest_curvature(P, [x, y])
+    if not lam < math.inf:
+        return k
+    return min(k, math.ceil(span * max(lam, 1.0) / JACOBIAN_STEP))
 
 
 def solve_bridge_shooting(P: Potential, x, y, T: float, opts: SolverOptions | None = None) -> BridgeSolution:
@@ -191,11 +217,17 @@ def solve_bridge_shooting(P: Potential, x, y, T: float, opts: SolverOptions | No
     1e-6*(1+|s|) for a segment's unknowns s, all integrated as one batch,
     and minus the identity for the next segment's start.
     ``_block_tridiagonal_solve`` solves it in O(M d^3) without forming the
-    n x n matrix. Every evaluated iterate advances its M segment starts and
-    the n perturbed starts as one batch, one ``_integrate_phase`` call of
-    M + n rows; if that batch leaves the domain or overflows, the iterate is
-    judged on its M rows alone and ``newton_step`` integrates the Jacobian
-    by itself, so the loop makes the decisions two passes would.
+    n x n matrix. With ``batched_rows`` every evaluated iterate advances its
+    M segment starts and the n perturbed starts as one batch, one
+    ``_integrate_phase`` call of M + n rows; if that batch leaves the domain
+    or overflows, the iterate is judged on its M rows alone and
+    ``newton_step`` integrates the Jacobian by itself, so the loop makes the
+    decisions two passes would. A potential without ``batched_rows`` pays
+    per row: each evaluation integrates its M starts alone, and only a
+    Newton step integrates the M + n rows, each to its own junction time in
+    kc <= k steps (``_jacobian_steps``), so a converged iterate gets no
+    Jacobian. If that coarse batch leaves the domain or overflows, the step
+    takes the n rows on the fine grid instead.
     ``context["restarts"]`` is the index of the start that converged and
     ``context["segments"]`` is M.
     """
@@ -229,41 +261,58 @@ def solve_bridge_shooting(P: Potential, x, y, T: float, opts: SolverOptions | No
         rows[np.arange(n), comp] += fd
         return rows, fd
 
-    def jacobian_blocks(moved, paths, fd):
-        """The (M, 2d, 2d) landing-map Jacobians from the (k + 1, n, 2d) paths
-        of the perturbed rows; the first segment's start position is x, so
-        its block keeps only the velocity columns."""
+    def jacobian_blocks(moved, landed, fd):
+        """The (M, 2d, 2d) landing-map Jacobians from the (n, 2d) landings of
+        the perturbed rows and the (M, 2d) landings of their segments; the
+        first segment's start position is x, so its block keeps only the
+        velocity columns."""
         jac = np.zeros((M, 2 * d, 2 * d))
-        end = moved[meet[seg], np.arange(n)]
-        jac[seg, :, comp] = (end - paths[meet[seg], seg]) / fd[:, None]
+        jac[seg, :, comp] = (moved - landed[seg]) / fd[:, None]
         return jac
 
     def landing_error(u):
-        """Sup-norm error of u, with its (k + 1, M, 2d) segment paths, its
-        residuals and, when the merged batch ran, its Jacobian blocks."""
+        """Sup-norm error of u, with its (k + 1, M, 2d) segment paths, their
+        landings, its residuals and, when the merged batch ran, its Jacobian
+        blocks."""
         Z = initial_states(u)
-        rows, fd = perturbed_rows(Z)
-        jac = None
-        try:
-            batch = _integrate_phase(P, np.concatenate([Z, rows]), span, k)
-        except (DomainEscape, NonFinite):
-            # a perturbed row failed: judge the trial by its own rows, and
-            # leave the Jacobian to newton_step
-            paths = _integrate_phase(P, Z, span, k)
-        else:
-            paths = batch[:, :M]
-            jac = jacobian_blocks(batch[:, M:], paths, fd)
+        batch = jac = None
+        if P.batched_rows:
+            rows, fd = perturbed_rows(Z)
+            try:
+                batch = _integrate_phase(P, np.concatenate([Z, rows]), span, k)
+            except (DomainEscape, NonFinite):
+                # a perturbed row failed: judge the trial by its own rows, and
+                # leave the Jacobian to newton_step
+                pass
+        paths = _integrate_phase(P, Z, span, k) if batch is None else batch[:, :M]
+        landed = paths[meet, np.arange(M)]
+        if batch is not None:
+            jac = jacobian_blocks(batch[meet[seg], M + np.arange(n)], landed, fd)
         # each segment must reach the next one's start, the last y
-        r = paths[meet, np.arange(M)].ravel()[:n] - np.concatenate([Z[1:].ravel(), y])
-        return float(np.max(np.abs(r))), (paths, r, jac)
+        r = landed.ravel()[:n] - np.concatenate([Z[1:].ravel(), y])
+        return float(np.max(np.abs(r))), (paths, landed, r, jac)
 
     def newton_step(u, data):
         """Newton step through the forward-difference segment Jacobians."""
-        paths, r, jac = data
+        _, landed, r, jac = data
         if jac is None:
-            rows, fd = perturbed_rows(initial_states(u))
-            jac = jacobian_blocks(_integrate_phase(P, rows, span, k), paths, fd)
+            Z = initial_states(u)
+            rows, fd = perturbed_rows(Z)
+            if not P.batched_rows:
+                try:
+                    end = _integrate_phase(P, np.concatenate([Z, rows]), horizons, kc)[-1]
+                    jac = jacobian_blocks(end[M:], end[:M], fd)
+                except (DomainEscape, NonFinite):
+                    pass  # take the fine grid below
+            if jac is None:
+                moved = _integrate_phase(P, rows, span, k)
+                jac = jacobian_blocks(moved[meet[seg], np.arange(n)], landed, fd)
         return _shooting_step(jac, r)
+
+    if not P.batched_rows:
+        # every row of the coarse Jacobian batch runs to its segment's junction
+        horizons = np.concatenate([meet, meet[seg]]) * (T / steps)
+        kc = _jacobian_steps(P, x, y, span, k)
 
     # starting guesses, each built only when the one before it has failed
     if M == 1:

@@ -35,10 +35,11 @@ def as_point(x, dim: int) -> np.ndarray:
 
 
 def as_count(value, what: str) -> int:
-    """`value` as an int; a boolean or a non-integral number is a ValueError."""
+    """`value` as an int; a boolean, a string or a non-integral number is a
+    ValueError."""
     try:
         n = int(value)
-        whole = not isinstance(value, (bool, np.bool_)) and n == float(value)
+        whole = not isinstance(value, (bool, np.bool_, str, bytes)) and n == float(value)
     except (TypeError, ValueError, OverflowError):
         whole = False
     if not whole:

@@ -268,7 +268,9 @@ def test_auto_falls_back_to_action_when_long_horizon_shooting_fails():
 @pytest.mark.parametrize("options", [
     {"method": "newton"}, {"tol_boundary": 0.0}, {"tol_boundary": -1e-9},
     {"tol_boundary": float("nan")}, {"tol_boundary": float("inf")}, {"grid_points": 2},
-], ids=["method", "tol_zero", "tol_negative", "tol_nan", "tol_inf", "grid_points_small"])
+    {"grid_points": 101.7}, {"grid_points": "101"}, {"tol_boundary": "1e-9"},
+], ids=["method", "tol_zero", "tol_negative", "tol_nan", "tol_inf", "grid_points_small",
+        "grid_points_fraction", "grid_points_text", "tol_text"])
 def test_solver_options_reject_out_of_range_values(options):
     with pytest.raises(ValueError):
         SolverOptions(**options)
@@ -459,9 +461,8 @@ def test_custom_potential_keeps_one_segment_at_the_far_cosh_geometry():
 MERGE_CASES = [
     (Potential.quadratic_isotropic(1), [2.0], [1.0], 20.0, 201, 4, (2, 3)),
     (Potential.neg_log(1), [1.0], [1.5], 15.0, 151, 3, (6, 11)),
-    (_quadratic_custom(1), [2.0], [1.0], 20.0, 201, 4, (2, 3)),
 ]
-MERGE_IDS = ["quadratic", "neg_log", "custom"]
+MERGE_IDS = ["quadratic", "neg_log"]
 
 
 def _counting_phase(monkeypatch, fails=lambda width: False):
@@ -532,25 +533,197 @@ def test_failed_merged_batch_keeps_every_newton_decision(monkeypatch, P, x, y, T
     assert "after 1 iterations" in outcomes[0]
 
 
-def test_custom_shooting_integrates_one_batch_per_evaluated_iterate(monkeypatch):
+def _cosh_custom(dim):
+    return Potential.custom(dim, lambda x: float(np.sum(np.cosh(x))), np.sinh,
+                            lambda x, v: np.cosh(x) * v, rho=1.0)
+
+
+def _quartic_custom(dim):
+    return Potential.custom(dim, lambda x: float(np.sum(0.25 * x ** 4 + 0.5 * x ** 2)),
+                            lambda x: x ** 3 + x, lambda x, v: (3.0 * x ** 2 + 1.0) * v, rho=1.0)
+
+
+def _lse_custom(dim, c=0.5):
+    """log-sum-exp plus c |x|^2 / 2."""
+    def parts(x):
+        p = np.exp(x - np.max(x))
+        return p / p.sum()
+
+    def value(x):
+        m = float(np.max(x))
+        return m + math.log(float(np.sum(np.exp(x - m)))) + 0.5 * c * float(x @ x)
+
+    def hess_apply(x, v):
+        p = parts(x)
+        return p * v - p * float(p @ v) + c * v
+
+    return Potential.custom(dim, value, lambda x: parts(x) + c * x, hess_apply, rho=c)
+
+
+def _batched_twin(P):
+    """P with ``batched_rows`` on: the same callables, shot as the builtins
+    are, with each iterate's Jacobian from the merged fine-grid batch."""
+    return Potential(P.kind, P.dim, rho=P.rho, n_dim=P.n_dim, domain=P.domain,
+                     value_fn=P._value_fn, grad_fn=P._grad_fn,
+                     hess_apply_fn=P._hess_apply_fn, force_fn=P.force_fn,
+                     minimizer=P.minimizer, batched_rows=True)
+
+
+def _recording_phase(monkeypatch, fails=lambda width, steps: False):
+    """Record ``_integrate_phase`` calls as (width, steps); a call that
+    ``fails`` accepts raises DomainEscape."""
+    calls = []
+    phase = bridge_module._integrate_phase
+
+    def recorded(P, Z0, T, steps):
+        calls.append((len(Z0), steps))
+        if fails(len(Z0), steps):
+            raise DomainEscape("patched: a Jacobian row escapes")
+        return phase(P, Z0, T, steps)
+
+    monkeypatch.setattr(bridge_module, "_integrate_phase", recorded)
+    return calls
+
+
+def _coarse_steps(P, x, y, T, nodes):
+    """(M, k, kc) of a custom solve: segments, fine and coarse Jacobian steps."""
+    steps = nodes - 1
+    starts, k = bridge_module._segment_starts(P, T, steps)
+    kc = bridge_module._jacobian_steps(P, np.asarray(x, float), np.asarray(y, float),
+                                       k * T / steps, k)
+    return len(starts), k, kc
+
+
+# custom potentials whose segment count the batched twin shares (k = 50),
+# on grids fine enough for a coarse Jacobian (kc = 40 and 44)
+COARSE_CASES = [
+    (_quadratic_custom(1), [2.0], [1.0], 16.0, 201),
+    (_cosh_custom(2), [0.3, -0.2], [-0.3, 0.4], 8.0, 101),
+]
+COARSE_IDS = ["quadratic", "cosh"]
+
+
+def test_custom_shooting_integrates_the_jacobian_only_when_newton_steps(monkeypatch):
     # the 2-D cosh potential on two segments: every evaluation, line-search
-    # trials and the converged iterate included, is one merged batch
-    P = Potential.custom(2, lambda x: float(np.sum(np.cosh(x))), np.sinh,
-                         lambda x, v: np.cosh(x) * v, rho=1.0)
-    opts = SolverOptions(method="shooting", grid_points=401)
-    evaluated = []
+    # trials and the converged iterate included, integrates the M segment
+    # starts alone on the fine grid; each Newton step integrates the M + n
+    # starts and perturbed rows once, in kc < k steps
+    P = _cosh_custom(2)
+    x, y, T, nodes = [1.0, 0.5], [0.5, -1.0], 8.0, 401
+    M, k, kc = _coarse_steps(P, x, y, T, nodes)
+    assert (M, k) == (2, 200) and 1 <= kc < k
+    opts = SolverOptions(method="shooting", grid_points=nodes)
+    evaluated, stepped = [], []
     newton = bridge_module._damped_newton
 
     def counted_newton(evaluate, newton_step, u, tol):
-        return newton(lambda v: evaluated.append(v) or evaluate(v), newton_step, u, tol)
+        return newton(lambda v: evaluated.append(v) or evaluate(v),
+                      lambda v, data: stepped.append(v) or newton_step(v, data), u, tol)
 
     monkeypatch.setattr(bridge_module, "_damped_newton", counted_newton)
-    calls = _counting_phase(monkeypatch)
-    sol = solve_bridge_shooting(P, [1.0, 0.5], [0.5, -1.0], 8.0, opts)
-    M = sol.context["segments"]
-    assert M == 2 and sol.boundary_error < opts.tol_boundary
+    calls = _recording_phase(monkeypatch)
+    sol = solve_bridge_shooting(P, x, y, T, opts)
+    assert sol.context["segments"] == M and sol.boundary_error < opts.tol_boundary
     assert len(evaluated) >= sol.iterations > 1
-    assert calls == [_widths(P, M)[0]] * len(evaluated)
+    # the converged iterate takes no step
+    assert len(stepped) == sol.iterations - 1
+    assert calls.count((M, k)) == len(evaluated)
+    assert calls.count((_widths(P, M)[0], kc)) == len(stepped)
+    assert len(calls) == len(evaluated) + len(stepped)
+
+
+@pytest.mark.parametrize("P, x, y, T, nodes", COARSE_CASES, ids=COARSE_IDS)
+def test_escaping_coarse_jacobian_steps_as_the_fine_jacobian_does(monkeypatch, P, x, y, T, nodes):
+    # the reference is the batched twin, whose merged batch gives each
+    # iterate the fine-grid Jacobian; with every coarse batch escaping, the
+    # custom solve must take the same steps from the same Jacobian rows
+    M, k, kc = _coarse_steps(P, x, y, T, nodes)
+    wide, n = _widths(P, M)
+    assert kc < k
+    opts = SolverOptions(method="shooting", grid_points=nodes)
+    twin = solve_bridge_shooting(_batched_twin(P), x, y, T, opts)
+    calls = _recording_phase(monkeypatch, fails=lambda width, steps: steps == kc)
+    sol = solve_bridge_shooting(P, x, y, T, opts)
+    assert sol.context["segments"] == twin.context["segments"] == M
+    assert np.array_equal(sol.trajectory.states, twin.trajectory.states)
+    assert np.array_equal(sol.trajectory.velocities, twin.trajectory.velocities)
+    assert sol.cost == twin.cost
+    assert sol.boundary_error == twin.boundary_error
+    assert sol.iterations == twin.iterations > 1
+    # each step: the coarse batch escapes, then the n rows on the fine grid
+    assert calls[-1] == (M, k)
+    assert calls.count((wide, kc)) == calls.count((n, k)) == sol.iterations - 1
+    assert set(calls) == {(M, k), (wide, kc), (n, k)}
+
+
+@pytest.mark.parametrize("P, x, y, T, nodes", COARSE_CASES, ids=COARSE_IDS)
+def test_escaping_coarse_and_fine_jacobians_stop_after_the_first_iteration(monkeypatch, P, x, y,
+                                                                          T, nodes):
+    # when the fine Jacobian escapes as well, no step is available: the solve
+    # ends as the twin's does when its merged batch and Jacobian rows escape
+    M, k, kc = _coarse_steps(P, x, y, T, nodes)
+    wide, n = _widths(P, M)
+    opts = SolverOptions(method="shooting", grid_points=nodes)
+    outcomes = []
+    for potential, escaping in ((P, {(wide, kc), (n, k)}), (_batched_twin(P), {(wide, k), (n, k)})):
+        calls = _recording_phase(monkeypatch, fails=lambda width, steps: (width, steps) in escaping)
+        with pytest.raises(NoConvergence) as info:
+            solve_bridge_shooting(potential, x, y, T, opts)
+        outcomes.append(str(info.value))
+    assert calls == [(wide, k), (M, k), (n, k)]  # the twin's
+    assert outcomes[0] == outcomes[1]
+    assert "after 1 iterations" in outcomes[0]
+
+
+# the short cosh and quartic cases come from the benchmark's endpoint boxes,
+# where a coarser rule (JACOBIAN_STEP = 0.2) adds a Newton iteration; at
+# T = 7.55 the first of two segments meets the second after 377 of 378 steps
+@pytest.mark.parametrize("P, x, y, T, M", [
+    (_cosh_custom(2), [-0.83, 0.18], [0.15, -0.84], 0.53, 1),
+    (_cosh_custom(3), [0.83, -0.17, 0.83], [-0.17, 0.82, -0.18], 0.59, 1),
+    (_cosh_custom(3), [0.3, -0.2, 0.1], [-0.3, 0.4, 0.2], 7.55, 2),
+    (_quartic_custom(2), [0.5, -0.49], [-0.49, 0.51], 0.47, 1),
+    (_quartic_custom(2), [0.5, -0.3], [-0.4, 0.6], 6.0, 2),
+    (_quartic_custom(3), [-0.51, 0.49, -0.51], [0.49, -0.52, 0.5], 0.58, 1),
+    (_lse_custom(2), [1.0, -0.5], [-0.2, 0.4], 3.0, 1),
+    (_lse_custom(3), [1.0, -0.5, 0.3], [-0.2, 0.4, 1.1], 12.0, 3),
+], ids=["cosh_2", "cosh_3", "cosh_3_far", "quartic_2", "quartic_2_far", "quartic_3", "lse_2",
+        "lse_3_far"])
+def test_coarse_jacobian_keeps_the_fine_jacobian_iteration_counts(monkeypatch, P, x, y, T, M):
+    coarse = solve_bridge_shooting(P, x, y, T)
+    steps = coarse.trajectory.n_nodes - 1
+    assert coarse.context["segments"] == M
+    assert _coarse_steps(P, x, y, T, steps + 1)[2] < steps // M
+    # the reference integrates its Jacobian batch on the fine grid
+    monkeypatch.setattr(bridge_module, "_jacobian_steps", lambda P, x, y, span, k: k)
+    fine = solve_bridge_shooting(P, x, y, T)
+    assert coarse.iterations == fine.iterations
+    assert max(coarse.boundary_error, fine.boundary_error) < 1e-9
+    # both land within the boundary tolerance of the same solution
+    assert np.max(np.abs(coarse.trajectory.states - fine.trajectory.states)) <= 1e-8
+    assert coarse.cost == pytest.approx(fine.cost, rel=1e-8)
+
+
+def test_coarse_jacobian_blocks_match_the_fine_grid_blocks(monkeypatch):
+    # segments of 377 and 378 steps: each row of the coarse batch must run to
+    # its own junction; the first Newton step's blocks against those of the
+    # fine grid, which the escaping coarse batch falls back to
+    P, x, y, T = _cosh_custom(3), [0.3, -0.2, 0.1], [-0.3, 0.4, 0.2], 7.55
+    nodes = SolverOptions().nodes(T)
+    M, k, kc = _coarse_steps(P, x, y, T, nodes)
+    assert list(bridge_module._segment_starts(P, T, nodes - 1)[0]) == [0, 377] and k == 378
+    blocks = []
+    step = bridge_module._shooting_step
+    monkeypatch.setattr(bridge_module, "_shooting_step",
+                        lambda jac, r: blocks.append(jac) or step(jac, r))
+    solve_bridge_shooting(P, x, y, T)
+    coarse = blocks[0]
+    blocks.clear()
+    _recording_phase(monkeypatch, fails=lambda width, steps: steps == kc)
+    solve_bridge_shooting(P, x, y, T)
+    fine = blocks[0]
+    for j in range(M):
+        assert np.max(np.abs(coarse[j] - fine[j])) <= 1e-4 * np.max(np.abs(fine[j]))
 
 
 def _dense_shooting_jacobian(jac):

@@ -74,6 +74,7 @@ def test_run_rejects_bad_mode_and_missing_file(tmp_path):
         {"solver": {"method": "shooting", "tol_boundary": float("nan")}},
         {"solver": {"method": "shooting", "tol_boundary": float("inf")}},
         {"solver": {"method": "shooting", "grid_points": 200.7}},
+        {"solver": {"method": "shooting", "grid_points": "201"}},
         {"potential": {"kind": "quadratic_isotropic", "dim": 1.5}},
         {"potential": {"kind": "neg_log", "dim": True}},
         {"endpoints": {}},
@@ -87,7 +88,7 @@ def test_run_rejects_bad_mode_and_missing_file(tmp_path):
     ],
     ids=["T_text", "T_null", "theta_text", "t_fraction_list", "endpoints_list",
          "outputs_text", "grid_points_small", "tol_zero", "tol_negative", "tol_nan",
-         "tol_inf", "grid_points_fraction", "dim_fraction", "dim_bool", "endpoints_missing",
+         "tol_inf", "grid_points_fraction", "grid_points_text", "dim_fraction", "dim_bool", "endpoints_missing",
          "gaussian_endpoints_missing", "endpoint_infinite", "T_nan", "T_inf", "matrix_inf",
          "matrix_nan"],
 )

@@ -88,11 +88,13 @@ def phase_rows(P):
 ])
 def test_batch_rows_equal_single_state_integrations(P, rows):
     rhs, feasible = phase_rows(P)
-    batch = integrate_grid(rhs, rows, 1.0, 4, feasible)
-    assert batch.shape == (5, len(rows), 2 * P.dim)
-    for r, row in enumerate(rows):
-        alone = integrate_grid(rhs, row, 1.0, 4, feasible)
-        assert np.array_equal(batch[:, r], alone)
+    # one horizon for the batch, then one horizon per row
+    for T, row_T in ((1.0, [1.0, 1.0, 1.0]), (np.array([0.3, 1.0, 0.77]), [0.3, 1.0, 0.77])):
+        batch = integrate_grid(rhs, rows, T, 4, feasible)
+        assert batch.shape == (5, len(rows), 2 * P.dim)
+        for r, row in enumerate(rows):
+            alone = integrate_grid(rhs, row, row_T[r], 4, feasible)
+            assert np.array_equal(batch[:, r], alone)
 
 
 def test_a_row_whose_midpoint_leaves_the_orthant_fails_the_batch_before_rhs_sees_it():

@@ -329,8 +329,9 @@ def test_custom_rows_of_the_wrong_width_raise_value_error():
 
 @pytest.mark.parametrize("build", [lambda: Potential.neg_log(2.5),
                                    lambda: Potential.custom(1.7, lambda x: float(x @ x)),
-                                   lambda: Potential.quadratic_isotropic(True)],
-                         ids=["neg_log_fraction", "custom_fraction", "isotropic_bool"])
+                                   lambda: Potential.quadratic_isotropic(True),
+                                   lambda: Potential.neg_log("2")],
+                         ids=["neg_log_fraction", "custom_fraction", "isotropic_bool", "neg_log_text"])
 def test_a_dimension_that_is_not_a_whole_number_is_a_value_error(build):
     with pytest.raises(ValueError, match="dim must be a whole number"):
         build()

@@ -142,20 +142,21 @@ SEGMENT_SPAN = 5.0
 #: however many rows the batch holds, so many short segments are cheaper
 #: than a few long ones. A custom potential calls its pointwise functions in
 #: a Python loop over the rows, so its cost follows the row count, and every
-#: extra segment adds a row to each landing map and 2d + 1 rows to each
-#: Jacobian batch; it keeps the SEGMENT_SPAN rule alone. On 22 solves of
-#: 2-3-D analytic custom potentials (cosh, quartic, log-sum-exp) short
-#: segments took 4.6 s against about 3.7 s, with the Jacobian then still on
-#: the fine grid, and landed two far cosh bridges, which fail here, with
-#: energy drifts of 3e-6.
+#: extra segment adds a row to each landing map of both Newton phases and
+#: 2d + 1 rows to each Jacobian batch; it keeps the SEGMENT_SPAN rule alone.
+#: On 22 solves of 2-3-D analytic custom potentials (cosh, quartic,
+#: log-sum-exp) short segments took 4.6 s against about 3.7 s, measured with
+#: one Newton phase and the Jacobian on the fine grid, and landed two far
+#: cosh bridges, which fail here, with energy drifts of 3e-6.
 SEGMENT_STEPS = 50
 
-#: A potential without ``batched_rows`` integrates its Newton Jacobian on a
-#: coarse grid: kc = min(k, ceil(t * max(lam, 1) / JACOBIAN_STEP)) RK4 steps
-#: for a segment of t time units, lam the largest eigenvalue of F'' at x and
-#: y (``_jacobian_steps``). The Jacobian only steers Newton, whose residual
-#: stays on the fine grid; a step of 0.2 / lam, or a fixed 0.08 time units,
-#: added Newton iterations on quartic and cosh solves.
+#: A potential without ``batched_rows`` runs its coarse Newton phase and
+#: integrates every Newton Jacobian on a coarse grid: kc = min(k, ceil(t *
+#: max(lam, 1) / JACOBIAN_STEP)) RK4 steps for a segment of t time units, lam
+#: the largest eigenvalue of F'' at x and y (``_jacobian_steps``). The coarse
+#: solution is the fine phase's start, and the fine phase's residual decides
+#: convergence; with a one-phase solve, a step of 0.2 / lam, or a fixed 0.08
+#: time units, added Newton iterations on quartic and cosh solves.
 JACOBIAN_STEP = 0.1
 
 
@@ -178,9 +179,9 @@ def _segment_starts(P: Potential, T: float, steps: int) -> tuple[np.ndarray, int
 
 
 def _jacobian_steps(P: Potential, x, y, span: float, k: int) -> int:
-    """RK4 steps kc of the coarse Jacobian batch for segments of at most
-    ``span`` time units and k fine steps (see JACOBIAN_STEP); k when the
-    curvature at x and y is not finite."""
+    """RK4 steps kc of the coarse landing map and Jacobian batch for
+    segments of at most ``span`` time units and k fine steps (see
+    JACOBIAN_STEP); k when the curvature at x and y is not finite."""
     lam = _largest_curvature(P, [x, y])
     if not lam < math.inf:
         return k
@@ -222,14 +223,25 @@ def solve_bridge_shooting(P: Potential, x, y, T: float, opts: SolverOptions | No
     ``_integrate_phase`` call of M + n rows; if that batch leaves the domain
     or overflows, the iterate is judged on its M rows alone and
     ``newton_step`` integrates the Jacobian by itself, so the loop makes the
-    decisions two passes would. A potential without ``batched_rows`` pays
-    per row: each evaluation integrates its M starts alone, and only a
-    Newton step integrates the M + n rows, each to its own junction time in
-    kc <= k steps (``_jacobian_steps``), so a converged iterate gets no
-    Jacobian. If that coarse batch leaves the domain or overflows, the step
-    takes the n rows on the fine grid instead.
-    ``context["restarts"]`` is the index of the start that converged and
-    ``context["segments"]`` is M.
+    decisions two passes would.
+
+    A potential without ``batched_rows`` pays per row, so it integrates rows
+    only where they are used, and solves each start in two Newton phases
+    when kc < k (``_jacobian_steps``). The coarse phase runs
+    ``_damped_newton`` to ``tol_boundary`` on the coarse landing map: the M
+    segment starts, each run to its own junction in kc steps. Each of its
+    steps integrates the M + n rows in the same kc steps, so a converged
+    iterate gets no Jacobian. The fine phase starts from the coarse
+    solution: each evaluation integrates its M starts alone on the fine
+    grid, its first step reuses the coarse phase's last Jacobian blocks, and
+    each further step integrates a fresh coarse batch of M + n rows; if that
+    batch leaves the domain or overflows, the step takes the n rows on the
+    fine grid instead. A coarse phase that misses the tolerance, or whose
+    start is unusable, leaves the fine phase the raw guess.
+
+    ``context["restarts"]`` is the index of the start that converged,
+    ``context["segments"]`` is M, ``iterations`` counts the fine passes and
+    ``context["coarse_iterations"]`` the coarse ones, over every start.
     """
     opts = opts or SolverOptions()
     x = P.check_domain(x)
@@ -270,6 +282,10 @@ def solve_bridge_shooting(P: Potential, x, y, T: float, opts: SolverOptions | No
         jac[seg, :, comp] = (moved - landed[seg]) / fd[:, None]
         return jac
 
+    def residuals(landed, Z):
+        """Each segment's landing minus the next one's start, the last minus y."""
+        return landed.ravel()[:n] - np.concatenate([Z[1:].ravel(), y])
+
     def landing_error(u):
         """Sup-norm error of u, with its (k + 1, M, 2d) segment paths, their
         landings, its residuals and, when the merged batch ran, its Jacobian
@@ -288,31 +304,54 @@ def solve_bridge_shooting(P: Potential, x, y, T: float, opts: SolverOptions | No
         landed = paths[meet, np.arange(M)]
         if batch is not None:
             jac = jacobian_blocks(batch[meet[seg], M + np.arange(n)], landed, fd)
-        # each segment must reach the next one's start, the last y
-        r = landed.ravel()[:n] - np.concatenate([Z[1:].ravel(), y])
+        r = residuals(landed, Z)
         return float(np.max(np.abs(r))), (paths, landed, r, jac)
 
+    def coarse_jacobian(u):
+        """Jacobian blocks of u from the M + n rows, each run to its own
+        junction in kc steps."""
+        Z = initial_states(u)
+        rows, fd = perturbed_rows(Z)
+        end = _integrate_phase(P, np.concatenate([Z, rows]), horizons, kc)[-1]
+        return jacobian_blocks(end[M:], end[:M], fd)
+
+    def coarse_error(u):
+        """Sup-norm error of u on the coarse landing map, with its residuals."""
+        Z = initial_states(u)
+        r = residuals(_integrate_phase(P, Z, horizons[:M], kc)[-1], Z)
+        return float(np.max(np.abs(r))), r
+
+    def coarse_step(u, r):
+        """Coarse Newton step; its blocks are kept for the fine phase."""
+        nonlocal carried
+        carried = coarse_jacobian(u)
+        return _shooting_step(carried, r)
+
     def newton_step(u, data):
-        """Newton step through the forward-difference segment Jacobians."""
+        """Newton step through the forward-difference segment Jacobians; the
+        first one of a fine phase takes the coarse phase's last blocks."""
+        nonlocal carried
         _, landed, r, jac = data
         if jac is None:
-            Z = initial_states(u)
-            rows, fd = perturbed_rows(Z)
-            if not P.batched_rows:
-                try:
-                    end = _integrate_phase(P, np.concatenate([Z, rows]), horizons, kc)[-1]
-                    jac = jacobian_blocks(end[M:], end[:M], fd)
-                except (DomainEscape, NonFinite):
-                    pass  # take the fine grid below
-            if jac is None:
-                moved = _integrate_phase(P, rows, span, k)
-                jac = jacobian_blocks(moved[meet[seg], np.arange(n)], landed, fd)
+            jac, carried = carried, None
+        if jac is None and not P.batched_rows:
+            try:
+                jac = coarse_jacobian(u)
+            except (DomainEscape, NonFinite):
+                pass  # take the fine grid below
+        if jac is None:
+            rows, fd = perturbed_rows(initial_states(u))
+            moved = _integrate_phase(P, rows, span, k)
+            jac = jacobian_blocks(moved[meet[seg], np.arange(n)], landed, fd)
         return _shooting_step(jac, r)
 
+    # a potential without batched_rows converges on the coarse landing map
+    # first; every row of its coarse batches runs to its segment's junction
+    nested = False
     if not P.batched_rows:
-        # every row of the coarse Jacobian batch runs to its segment's junction
         horizons = np.concatenate([meet, meet[seg]]) * (T / steps)
         kc = _jacobian_steps(P, x, y, span, k)
+        nested = kc < k
 
     # starting guesses, each built only when the one before it has failed
     if M == 1:
@@ -320,9 +359,20 @@ def solve_bridge_shooting(P: Potential, x, y, T: float, opts: SolverOptions | No
         guesses = (lambda: straight, lambda: straight - P.grad(x))
     else:
         guesses = (lambda: _turnpike_seed(P, x, y, T, steps, starts),)
-    total_iters = 0
+    total_iters = coarse_iters = 0
     for attempt, guess in enumerate(guesses):
-        _, err, data, iterations = _damped_newton(landing_error, newton_step, guess(),
+        u = guess()
+        carried = None
+        if nested:
+            polished, err, _, passes = _damped_newton(coarse_error, coarse_step, u,
+                                                      opts.tol_boundary)
+            coarse_iters += passes
+            # an unconverged coarse phase leaves the fine phase the raw guess
+            if err < opts.tol_boundary:
+                u = polished
+            else:
+                carried = None
+        _, err, data, iterations = _damped_newton(landing_error, newton_step, u,
                                                   opts.tol_boundary)
         total_iters += iterations
         if err < opts.tol_boundary:
@@ -333,7 +383,8 @@ def solve_bridge_shooting(P: Potential, x, y, T: float, opts: SolverOptions | No
                 path[s:s + k + 1] = paths[:, j]
             traj = Trajectory(np.linspace(0.0, T, steps + 1), path[:, :d], path[:, d:])
             return _finish_solution(traj, P, "shooting", err, total_iters,
-                                    restarts=attempt, segments=M)
+                                    restarts=attempt, segments=M,
+                                    coarse_iterations=coarse_iters)
     # a start that leaves the domain runs no iteration
     if not total_iters:
         raise DomainEscape("every trial trajectory left the domain")

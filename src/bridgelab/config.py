@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -31,14 +32,19 @@ class ExperimentConfig:
     json_path: Path
 
 
+def _number(value, what: str) -> float:
+    """A JSON number as a float; text, booleans and anything else are a
+    ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
 def _numbers(data: dict, key: str, default=None) -> list[float]:
     values = data.get(key, default)
     if not isinstance(values, list):
         raise ConfigError(f"{key} must be a list of numbers")
-    try:
-        return [float(v) for v in values]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key} must be a list of numbers") from exc
+    return [_number(v, f"each of {key}") for v in values]
 
 
 def parse_config(data: dict, *, name_hint: str = "config") -> ExperimentConfig:
@@ -95,7 +101,8 @@ def parse_config(data: dict, *, name_hint: str = "config") -> ExperimentConfig:
     try:
         solver = SolverOptions(
             method=solver_desc.get("method", "auto"),
-            tol_boundary=float(solver_desc.get("tol_boundary", 1e-9)),
+            tol_boundary=_number(solver_desc.get("tol_boundary", 1e-9),
+                                 "solver.tol_boundary"),
             grid_points=(
                 as_count(solver_desc["grid_points"], "solver.grid_points")
                 if "grid_points" in solver_desc else None

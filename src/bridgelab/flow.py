@@ -16,10 +16,16 @@ UNIFORMITY_RTOL = 1e-12
 
 
 def uniform_step(times: np.ndarray) -> float:
-    """Step of a uniform time grid; raises NonUniformGrid when spacing varies."""
+    """Step of a uniform time grid; raises NonUniformGrid when spacing varies.
+
+    The spacing may vary by UNIFORMITY_RTOL * max(h, 1), plus two ulps of the
+    grid's largest time: rounding each node of ``np.linspace(0, T, n)`` moves
+    a step by up to eps * T, 1.6e-12 at T = 1e4 on the default grid.
+    """
     dt = np.diff(times)
     h = float(dt[0])
-    if np.max(np.abs(dt - h)) > UNIFORMITY_RTOL * max(h, 1.0):
+    rounding = 2.0 * np.finfo(float).eps * max(abs(times[0]), abs(times[-1]))
+    if np.max(np.abs(dt - h)) > UNIFORMITY_RTOL * max(h, 1.0) + rounding:
         raise NonUniformGrid("time grid is not uniform")
     return h
 

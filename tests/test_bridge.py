@@ -604,39 +604,42 @@ COARSE_IDS = ["quadratic", "cosh"]
 
 
 def test_custom_shooting_integrates_the_jacobian_only_when_newton_steps(monkeypatch):
-    # the 2-D cosh potential on two segments: every evaluation, line-search
-    # trials and the converged iterate included, integrates the M segment
-    # starts alone on the fine grid; each Newton step integrates the M + n
-    # starts and perturbed rows once, in kc < k steps
+    # the 2-D cosh potential on two segments. The coarse phase evaluates the
+    # M segment starts in kc < k steps and integrates the M + n starts and
+    # perturbed rows, also in kc steps, once per Newton step; the fine phase
+    # then evaluates the M starts on the fine grid, and its first step takes
+    # the coarse phase's last Jacobian, so it integrates no Jacobian batch
     P = _cosh_custom(2)
     x, y, T, nodes = [1.0, 0.5], [0.5, -1.0], 8.0, 401
     M, k, kc = _coarse_steps(P, x, y, T, nodes)
+    wide, n = _widths(P, M)
     assert (M, k) == (2, 200) and 1 <= kc < k
     opts = SolverOptions(method="shooting", grid_points=nodes)
-    evaluated, stepped = [], []
-    newton = bridge_module._damped_newton
-
-    def counted_newton(evaluate, newton_step, u, tol):
-        return newton(lambda v: evaluated.append(v) or evaluate(v),
-                      lambda v, data: stepped.append(v) or newton_step(v, data), u, tol)
-
-    monkeypatch.setattr(bridge_module, "_damped_newton", counted_newton)
     calls = _recording_phase(monkeypatch)
     sol = solve_bridge_shooting(P, x, y, T, opts)
     assert sol.context["segments"] == M and sol.boundary_error < opts.tol_boundary
-    assert len(evaluated) >= sol.iterations > 1
-    # the converged iterate takes no step
-    assert len(stepped) == sol.iterations - 1
-    assert calls.count((M, k)) == len(evaluated)
-    assert calls.count((_widths(P, M)[0], kc)) == len(stepped)
-    assert len(calls) == len(evaluated) + len(stepped)
+    coarse = sol.context["coarse_iterations"]
+    assert coarse > 1 and sol.iterations == 2
+    fine = calls.index((M, k))
+    assert set(calls[:fine]) == {(M, kc), (wide, kc)}
+    # the converged coarse iterate takes no step
+    assert calls[:fine].count((wide, kc)) == coarse - 1
+    assert calls[:fine].count((M, kc)) >= coarse
+    assert calls[fine:] == [(M, k)] * 2
 
 
-@pytest.mark.parametrize("P, x, y, T, nodes", COARSE_CASES, ids=COARSE_IDS)
+# COARSE_CASES and a custom potential on three segments of k = 50 steps, which
+# the batched twin shares as well
+FALLBACK_CASES = COARSE_CASES + [(_cosh_custom(2), [0.3, -0.2], [-0.3, 0.4], 12.0, 151)]
+
+
+@pytest.mark.parametrize("P, x, y, T, nodes", FALLBACK_CASES,
+                         ids=COARSE_IDS + ["cosh_3_segments"])
 def test_escaping_coarse_jacobian_steps_as_the_fine_jacobian_does(monkeypatch, P, x, y, T, nodes):
     # the reference is the batched twin, whose merged batch gives each
-    # iterate the fine-grid Jacobian; with every coarse batch escaping, the
-    # custom solve must take the same steps from the same Jacobian rows
+    # iterate the fine-grid Jacobian; with every kc-step call escaping, the
+    # coarse phase's start is unusable, and the fine phase must start from
+    # the raw guess and take the same steps from the same Jacobian rows
     M, k, kc = _coarse_steps(P, x, y, T, nodes)
     wide, n = _widths(P, M)
     assert kc < k
@@ -645,15 +648,69 @@ def test_escaping_coarse_jacobian_steps_as_the_fine_jacobian_does(monkeypatch, P
     calls = _recording_phase(monkeypatch, fails=lambda width, steps: steps == kc)
     sol = solve_bridge_shooting(P, x, y, T, opts)
     assert sol.context["segments"] == twin.context["segments"] == M
+    assert sol.context["coarse_iterations"] == 0
     assert np.array_equal(sol.trajectory.states, twin.trajectory.states)
     assert np.array_equal(sol.trajectory.velocities, twin.trajectory.velocities)
     assert sol.cost == twin.cost
     assert sol.boundary_error == twin.boundary_error
     assert sol.iterations == twin.iterations > 1
-    # each step: the coarse batch escapes, then the n rows on the fine grid
+    # the coarse start escapes once; then each step: the coarse batch
+    # escapes, and the n rows run on the fine grid
+    assert calls[0] == (M, kc) and calls.count((M, kc)) == 1
     assert calls[-1] == (M, k)
     assert calls.count((wide, kc)) == calls.count((n, k)) == sol.iterations - 1
-    assert set(calls) == {(M, k), (wide, kc), (n, k)}
+    assert set(calls) == {(M, kc), (M, k), (wide, kc), (n, k)}
+
+
+@pytest.mark.parametrize("P, x, y, T, nodes", FALLBACK_CASES,
+                         ids=COARSE_IDS + ["cosh_3_segments"])
+def test_unconverged_coarse_phase_leaves_the_fine_phase_the_raw_guess(monkeypatch, P, x, y, T,
+                                                                      nodes):
+    # only the coarse Jacobian batch escapes: the coarse phase evaluates its
+    # start, finds no step and stops short of the tolerance; the fine phase
+    # then steps from the raw guess exactly as the batched twin does
+    M, k, kc = _coarse_steps(P, x, y, T, nodes)
+    wide, n = _widths(P, M)
+    assert 2 <= M <= 4 and kc < k
+    opts = SolverOptions(method="shooting", grid_points=nodes)
+    twin = solve_bridge_shooting(_batched_twin(P), x, y, T, opts)
+    calls = _recording_phase(monkeypatch, fails=lambda width, steps: (width, steps) == (wide, kc))
+    sol = solve_bridge_shooting(P, x, y, T, opts)
+    assert sol.context["coarse_iterations"] == 1
+    assert np.array_equal(sol.trajectory.states, twin.trajectory.states)
+    assert np.array_equal(sol.trajectory.velocities, twin.trajectory.velocities)
+    assert sol.cost == twin.cost and sol.boundary_error == twin.boundary_error
+    assert sol.iterations == twin.iterations > 1
+    # one coarse pass, then each fine step: the coarse batch escapes, and
+    # the n rows run on the fine grid
+    assert calls[:3] == [(M, kc), (wide, kc), (M, k)]
+    assert calls.count((M, kc)) == 1
+    assert calls.count((wide, kc)) - 1 == calls.count((n, k)) == sol.iterations - 1
+
+
+@pytest.mark.parametrize("P, x, y, T, nodes", FALLBACK_CASES[1:],
+                         ids=["cosh", "cosh_3_segments"])
+def test_unconverged_coarse_phase_leaves_no_jacobian_to_the_fine_phase(monkeypatch, P, x, y, T,
+                                                                       nodes):
+    # every coarse Jacobian batch but the first escapes: the coarse phase
+    # takes one step, finds none on its second pass and stops short of the
+    # tolerance. Its one Jacobian belongs to another point, so the fine
+    # phase must not reuse it: from the raw guess it steps as the twin does
+    M, k, kc = _coarse_steps(P, x, y, T, nodes)
+    wide, n = _widths(P, M)
+    opts = SolverOptions(method="shooting", grid_points=nodes)
+    twin = solve_bridge_shooting(_batched_twin(P), x, y, T, opts)
+    batches = []
+
+    def later_batches(width, steps):
+        batches.append((width, steps) == (wide, kc))
+        return batches[-1] and sum(batches) > 1
+
+    _recording_phase(monkeypatch, fails=later_batches)
+    sol = solve_bridge_shooting(P, x, y, T, opts)
+    assert sol.context["coarse_iterations"] == 2
+    assert np.array_equal(sol.trajectory.states, twin.trajectory.states)
+    assert sol.cost == twin.cost and sol.iterations == twin.iterations
 
 
 @pytest.mark.parametrize("P, x, y, T, nodes", COARSE_CASES, ids=COARSE_IDS)
@@ -676,8 +733,9 @@ def test_escaping_coarse_and_fine_jacobians_stop_after_the_first_iteration(monke
 
 
 # the short cosh and quartic cases come from the benchmark's endpoint boxes,
-# where a coarser rule (JACOBIAN_STEP = 0.2) adds a Newton iteration; at
-# T = 7.55 the first of two segments meets the second after 377 of 378 steps
+# where a coarser rule (JACOBIAN_STEP = 0.2) added a Newton iteration to the
+# one-phase solve; at T = 7.55 the first of two segments meets the second
+# after 377 of 378 steps
 @pytest.mark.parametrize("P, x, y, T, M", [
     (_cosh_custom(2), [-0.83, 0.18], [0.15, -0.84], 0.53, 1),
     (_cosh_custom(3), [0.83, -0.17, 0.83], [-0.17, 0.82, -0.18], 0.59, 1),
@@ -690,18 +748,27 @@ def test_escaping_coarse_and_fine_jacobians_stop_after_the_first_iteration(monke
 ], ids=["cosh_2", "cosh_3", "cosh_3_far", "quartic_2", "quartic_2_far", "quartic_3", "lse_2",
         "lse_3_far"])
 def test_coarse_jacobian_keeps_the_fine_jacobian_iteration_counts(monkeypatch, P, x, y, T, M):
-    coarse = solve_bridge_shooting(P, x, y, T)
-    steps = coarse.trajectory.n_nodes - 1
-    assert coarse.context["segments"] == M
-    assert _coarse_steps(P, x, y, T, steps + 1)[2] < steps // M
-    # the reference integrates its Jacobian batch on the fine grid
-    monkeypatch.setattr(bridge_module, "_jacobian_steps", lambda P, x, y, span, k: k)
-    fine = solve_bridge_shooting(P, x, y, T)
-    assert coarse.iterations == fine.iterations
-    assert max(coarse.boundary_error, fine.boundary_error) < 1e-9
+    # the reference integrates every Newton step's batch on the fine grid, in
+    # one phase from the raw guess; the nested solve polishes its coarse
+    # solution in two fine passes, never more than the reference takes
+    nodes = SolverOptions().nodes(T)
+    _, k, kc = _coarse_steps(P, x, y, T, nodes)
+    assert kc < k
+    with monkeypatch.context() as patched:
+        # kc = k: no coarse phase, and each Newton step's batch runs k steps
+        patched.setattr(bridge_module, "_jacobian_steps", lambda P, x, y, span, k: k)
+        fine = solve_bridge_shooting(P, x, y, T)
+    calls = _recording_phase(monkeypatch)
+    nested = solve_bridge_shooting(P, x, y, T)
+    assert nested.context["segments"] == fine.context["segments"] == M
+    assert nested.context["coarse_iterations"] > 1 and fine.context["coarse_iterations"] == 0
+    assert nested.iterations == 2 <= fine.iterations
+    # at most two fine evaluations of the M segment starts
+    assert calls.count((M, k)) <= 2
+    assert max(nested.boundary_error, fine.boundary_error) < 1e-9
     # both land within the boundary tolerance of the same solution
-    assert np.max(np.abs(coarse.trajectory.states - fine.trajectory.states)) <= 1e-8
-    assert coarse.cost == pytest.approx(fine.cost, rel=1e-8)
+    assert np.max(np.abs(nested.trajectory.states - fine.trajectory.states)) <= 1e-8
+    assert nested.cost == pytest.approx(fine.cost, rel=1e-8)
 
 
 def test_coarse_jacobian_blocks_match_the_fine_grid_blocks(monkeypatch):

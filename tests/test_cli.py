@@ -85,12 +85,20 @@ def test_run_rejects_bad_mode_and_missing_file(tmp_path):
         {"potential": {"kind": "quadratic_matrix", "matrix": [[1.0, 0.0], [0.0, float("inf")]]},
          "endpoints": {"x": [1.0, 1.0]}},
         {"potential": {"kind": "quadratic_matrix", "matrix": [[float("nan")]]}},
+        {"T_values": ["2"]},
+        {"T_values": [True, 2.0]},
+        {"theta_values": ["0.5"]},
+        {"theta_values": [0.5, False]},
+        {"t_fractions": ["0.25"]},
+        {"solver": {"method": "shooting", "tol_boundary": "1e-9"}},
+        {"solver": {"method": "shooting", "tol_boundary": True}},
     ],
     ids=["T_text", "T_null", "theta_text", "t_fraction_list", "endpoints_list",
          "outputs_text", "grid_points_small", "tol_zero", "tol_negative", "tol_nan",
          "tol_inf", "grid_points_fraction", "grid_points_text", "dim_fraction", "dim_bool", "endpoints_missing",
          "gaussian_endpoints_missing", "endpoint_infinite", "T_nan", "T_inf", "matrix_inf",
-         "matrix_nan"],
+         "matrix_nan", "T_number_text", "T_bool", "theta_number_text", "theta_bool",
+         "t_fraction_number_text", "tol_text", "tol_bool"],
 )
 def test_malformed_config_is_a_config_error(tmp_path, capsys, patch):
     cfg = write_config(tmp_path, {**BASE, **patch})

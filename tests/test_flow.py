@@ -245,6 +245,22 @@ def test_trajectory_validation():
     assert traj.dim == 2 and traj.spacing() == 0.5
 
 
+@pytest.mark.parametrize("T", [1e4, 2e4, 1e5])
+def test_default_long_horizon_grids_are_uniform(T):
+    # np.linspace moves a step of the default grid by up to about one ulp of
+    # T (1.6e-12 at T = 1e4), more than an absolute 1e-12; the grid and its
+    # time reversal, as ``reverse_solution`` builds it, are uniform
+    n = flow_module.default_steps(T) + 1
+    times = np.linspace(0.0, T, n)
+    assert flow_module.uniform_step(times) == pytest.approx(T / (n - 1), rel=1e-12)
+    nodes = np.broadcast_to(0.0, (n, 1))
+    for grid in (times, T - times[::-1]):
+        traj = Trajectory(grid, nodes, nodes)
+        # the reversed grid's first step is exact only to an ulp of T
+        assert abs(traj.spacing() - T / (n - 1)) <= 2.0 * np.finfo(float).eps * T
+        assert traj.index_of(T) == n - 1
+
+
 def test_nearest_index_clamps_and_index_of_rejects_off_node_times():
     traj = Trajectory(np.linspace(0.0, 1.0, 5), np.zeros((5, 1)), np.zeros((5, 1)))
     assert traj.nearest_index(-3.0) == 0 and traj.nearest_index(7.0) == 4

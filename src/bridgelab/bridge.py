@@ -33,8 +33,8 @@ class SolverOptions:
     ``grid_points`` is the number of nodes of the returned trajectory, a
     whole number at least 3 (default ``default_steps(T) + 1``); ``method``
     is one of ``shooting``, ``action`` or ``auto`` (shooting first, action
-    on failure); ``tol_boundary`` is a finite positive real number. A value
-    of another type or out of range is a ValueError. The iteration budget
+    on failure); ``tol_boundary`` is a finite positive real number, not a
+    boolean. A value of another type or out of range is a ValueError. The iteration budget
     is the Newton loop's own.
     """
 
@@ -45,8 +45,9 @@ class SolverOptions:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-        if not (isinstance(self.tol_boundary, numbers.Real) and 0.0 < self.tol_boundary < math.inf):
-            raise ValueError(f"tol_boundary must be finite and positive, got {self.tol_boundary!r}")
+        tol = self.tol_boundary
+        if isinstance(tol, bool) or not (isinstance(tol, numbers.Real) and 0.0 < tol < math.inf):
+            raise ValueError(f"tol_boundary must be finite and positive, got {tol!r}")
         if self.grid_points is not None:
             object.__setattr__(self, "grid_points", as_count(self.grid_points, "grid_points"))
             if self.grid_points < 3:

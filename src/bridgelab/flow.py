@@ -18,9 +18,10 @@ UNIFORMITY_RTOL = 1e-12
 def uniform_step(times: np.ndarray) -> float:
     """Step of a uniform time grid; raises NonUniformGrid when spacing varies.
 
-    The spacing may vary by UNIFORMITY_RTOL * max(h, 1), plus two ulps of the
-    grid's largest time: rounding each node of ``np.linspace(0, T, n)`` moves
-    a step by up to eps * T, 1.6e-12 at T = 1e4 on the default grid.
+    The spacing may vary by UNIFORMITY_RTOL * max(h, 1) plus 2 eps times the
+    grid's largest |time|: rounding each node of ``np.linspace(0, T, n)``
+    moves a step by up to about eps * T, 1.6e-12 at T = 1e4 on the default
+    grid.
     """
     dt = np.diff(times)
     h = float(dt[0])

@@ -269,8 +269,9 @@ def test_auto_falls_back_to_action_when_long_horizon_shooting_fails():
     {"method": "newton"}, {"tol_boundary": 0.0}, {"tol_boundary": -1e-9},
     {"tol_boundary": float("nan")}, {"tol_boundary": float("inf")}, {"grid_points": 2},
     {"grid_points": 101.7}, {"grid_points": "101"}, {"tol_boundary": "1e-9"},
+    {"tol_boundary": True},
 ], ids=["method", "tol_zero", "tol_negative", "tol_nan", "tol_inf", "grid_points_small",
-        "grid_points_fraction", "grid_points_text", "tol_text"])
+        "grid_points_fraction", "grid_points_text", "tol_text", "tol_bool"])
 def test_solver_options_reject_out_of_range_values(options):
     with pytest.raises(ValueError):
         SolverOptions(**options)

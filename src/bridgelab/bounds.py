@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bridge import BridgeSolution, SolverOptions, reverse_solution, solve_bridge
-from .errors import DegenerateSeries, MissingPrerequisite, BridgeLabError
-from .flow import gradient_flow
+from .bridge import BridgeSolution, SolverOptions, closed_form_cost, reverse_solution, solve_bridge
+from .errors import BridgeLabError, DegenerateSeries, MissingPrerequisite, UnsupportedKind
+from .flow import Trajectory, closed_form_flow, gradient_flow
 from .potential import Potential
 
 #: Reports pass when margin >= -BOUND_TOL * (1 + |rhs|).
@@ -77,12 +77,17 @@ def _expm1(x: float) -> float:
 def unit_horizon_cost(P: Potential, x, y, opts: SolverOptions | None = None) -> float | None:
     """c1, the cost of the bridge from x to y at horizon 1, which the
     logarithmic bounds need; None when P has no finite dimension parameter,
-    since no bound then uses it. A failed solve raises MissingPrerequisite.
+    since no bound then uses it. A builtin potential's c1 is its exact cost
+    (``closed_form_cost``); any other potential's bridge is solved with
+    `opts`, and a failed solve raises MissingPrerequisite.
     """
     if not np.isfinite(P.n_dim):
         return None
     try:
-        return solve_bridge(P, x, y, 1.0, opts).cost
+        try:
+            return closed_form_cost(P, x, y, 1.0)
+        except UnsupportedKind:
+            return solve_bridge(P, x, y, 1.0, opts).cost
     except BridgeLabError as exc:
         raise MissingPrerequisite(f"could not compute the unit-horizon cost: {exc}") from exc
 
@@ -103,10 +108,13 @@ def verify_bounds(
 
     `solution` is solved on demand, and so is `c1` (see
     ``unit_horizon_cost``); a caller checking several horizons of one pair
-    can solve `c1` once and pass it. `t_values` defaults to T times
-    T_FRACTIONS and `theta_values` to THETA_VALUES. Unless x == y, the reversed
-    bridge from y to x is checked too; each report's `context["orientation"]`
-    is "forward" or "reversed".
+    can solve `c1` once and pass it. The gradient flow of each orientation
+    is read at the solution's node times: exactly (``closed_form_flow``)
+    for a builtin potential, and otherwise by RK4 on the solution's grid,
+    both orientations as one ``gradient_flow`` batch. `t_values` defaults
+    to T times T_FRACTIONS and `theta_values` to THETA_VALUES. Unless
+    x == y, the reversed bridge from y to x is checked too; each report's
+    `context["orientation"]` is "forward" or "reversed".
     """
     opts = opts or SolverOptions()
     x = P.check_domain(x)
@@ -122,11 +130,16 @@ def verify_bounds(
 
     both = not np.array_equal(x, y)
     sources = [x, y] if both else [x]
-    # the gradient flows of the orientations, one from each source, as one batch
+    # the gradient flow of each orientation, one from each source
     flows = [None, None]
     if np.isfinite(P.n_dim) or (P.rho is not None and P.rho > 0):
-        flows[:len(sources)] = gradient_flow(P, np.array(sources), T,
-                                             steps=solution.trajectory.n_nodes - 1)
+        times = solution.trajectory.times
+        try:
+            exact = [closed_form_flow(P, p, times) for p in sources]
+            flows[:len(sources)] = [Trajectory(times, s, -P.grad_many(s)) for s in exact]
+        except UnsupportedKind:
+            flows[:len(sources)] = gradient_flow(P, np.array(sources), T,
+                                                 steps=solution.trajectory.n_nodes - 1)
     reports = _verify_one_orientation(
         P, x, y, T, solution, flows[0], c1, t_values, theta_values, "forward"
     )

@@ -231,7 +231,8 @@ def solve_bridge_shooting(P: Potential, x, y, T: float, opts: SolverOptions | No
     when kc < k (``_jacobian_steps``). The coarse phase runs
     ``_damped_newton`` to ``tol_boundary`` on the coarse landing map: the M
     segment starts, each run to its own junction in kc steps. Each of its
-    steps integrates the M + n rows in the same kc steps, so a converged
+    steps integrates the n perturbed rows in the same kc steps and differences
+    them against the landings its evaluation already holds, so a converged
     iterate gets no Jacobian. The fine phase starts from the coarse
     solution: each evaluation integrates its M starts alone on the fine
     grid, its first step reuses the coarse phase's last Jacobian blocks, and
@@ -308,24 +309,31 @@ def solve_bridge_shooting(P: Potential, x, y, T: float, opts: SolverOptions | No
         r = residuals(landed, Z)
         return float(np.max(np.abs(r))), (paths, landed, r, jac)
 
-    def coarse_jacobian(u):
-        """Jacobian blocks of u from the M + n rows, each run to its own
-        junction in kc steps."""
+    def coarse_jacobian(u, landed=None):
+        """Jacobian blocks of u from the n perturbed rows, each run to its own
+        junction in kc steps, and the coarse landings of its M segment
+        starts, which are integrated with them unless given."""
         Z = initial_states(u)
         rows, fd = perturbed_rows(Z)
-        end = _integrate_phase(P, np.concatenate([Z, rows]), horizons, kc)[-1]
-        return jacobian_blocks(end[M:], end[:M], fd)
+        if landed is None:
+            end = _integrate_phase(P, np.concatenate([Z, rows]), horizons, kc)[-1]
+            return jacobian_blocks(end[M:], end[:M], fd)
+        return jacobian_blocks(_integrate_phase(P, rows, horizons[M:], kc)[-1], landed, fd)
 
     def coarse_error(u):
-        """Sup-norm error of u on the coarse landing map, with its residuals."""
+        """Sup-norm error of u on the coarse landing map, with its segments'
+        landings and its residuals."""
         Z = initial_states(u)
-        r = residuals(_integrate_phase(P, Z, horizons[:M], kc)[-1], Z)
-        return float(np.max(np.abs(r))), r
+        landed = _integrate_phase(P, Z, horizons[:M], kc)[-1]
+        r = residuals(landed, Z)
+        return float(np.max(np.abs(r))), (landed, r)
 
-    def coarse_step(u, r):
-        """Coarse Newton step; its blocks are kept for the fine phase."""
+    def coarse_step(u, data):
+        """Coarse Newton step from the landings coarse_error already has; its
+        blocks are kept for the fine phase."""
         nonlocal carried
-        carried = coarse_jacobian(u)
+        landed, r = data
+        carried = coarse_jacobian(u, landed)
         return _shooting_step(carried, r)
 
     def newton_step(u, data):

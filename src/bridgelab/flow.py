@@ -144,20 +144,23 @@ def gradient_flow(P: Potential, x0, T: float, steps: int | None = None, *,
     return flows if batch else flows[0]
 
 
-def closed_form_flow(P, x0, t: float) -> np.ndarray:
-    """Exact gradient flow of the builtin potential, or builtin kind, P; a
-    custom potential, or the quadratic-matrix kind without its matrix, is
-    UnsupportedKind. The quadratic-matrix flow is Q diag(e^{-lam t}) Q^T x0,
-    its last product an elementwise sum as in the bridge closed forms."""
-    if t < 0:
+def closed_form_flow(P, x0, t) -> np.ndarray:
+    """Exact gradient flow from x0 (d,) of the builtin potential, or builtin
+    kind, P, at one time t, which gives (d,), or at an array of times (n,),
+    which gives (n, d); a custom potential, or the quadratic-matrix kind
+    without its matrix, is UnsupportedKind. The quadratic-matrix flow is
+    Q diag(e^{-lam t}) Q^T x0, its last product an elementwise sum as in the
+    bridge closed forms."""
+    t = np.asarray(t, dtype=float)[..., None]  # a time per row, broadcast over the coordinates
+    if np.any(t < 0):
         raise ValueError("t must be nonnegative")
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     kind = P.kind if isinstance(P, Potential) else P
     if kind == QUADRATIC_ISOTROPIC:
-        return math.exp(-t) * x0
+        return np.exp(-t) * x0
     if kind == NEG_LOG:
         return np.sqrt(2.0 * t + x0 * x0)
     if kind == QUADRATIC_MATRIX and isinstance(P, Potential):
         lam, Q = np.linalg.eigh(P.hessian(np.zeros(P.dim)))
-        return np.sum(np.exp(-lam * t) * (Q.T @ x0) * Q, axis=-1)
+        return np.sum((np.exp(-lam * t) * (Q.T @ x0))[..., None, :] * Q, axis=-1)
     raise UnsupportedKind(f"no closed-form flow for kind {kind!r}")

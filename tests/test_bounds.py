@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 
+import bridgelab.bounds as bounds_module
 from bridgelab import (
     DegenerateSeries,
+    MissingPrerequisite,
+    NoConvergence,
     Potential,
     SolverOptions,
     closed_form_cost,
@@ -12,10 +15,13 @@ from bridgelab import (
     closed_form_flow,
     closed_form_solution,
     fit_rate,
+    gradient_flow,
+    solve_bridge,
     solve_bridge_shooting,
     verify_bounds,
 )
-from bridgelab.bounds import EXPONENTIAL, POWER_LAW
+from bridgelab.bounds import EXPONENTIAL, POWER_LAW, unit_horizon_cost
+from bridgelab.potential import POSITIVE_ORTHANT
 
 NEGLOG = "neg_log"
 QUAD = "quadratic_isotropic"
@@ -204,6 +210,91 @@ def test_b7_reports_every_node_with_a_positive_rhs_at_rho_T_1000():
         b7 = [r for r in reports if r.bound_id == "B7" and r.context["orientation"] == orientation]
         assert np.allclose([r.context["t"] for r in b7], [0.25 * T, 0.5 * T, 0.75 * T], atol=h)
         assert all(0.0 < r.rhs < math.inf and r.passed for r in b7)
+
+
+def _b7_row(T, t):
+    P = Potential.quadratic_isotropic(1)
+    x, y = [1.0], [0.5]
+    reports = verify_bounds(P, x, y, T, solution=closed_form_solution(P, x, y, T, int(20 * T)))
+    (rep,) = [r for r in reports if r.bound_id == "B7"
+              and r.context["orientation"] == "forward" and r.context["t"] == t]
+    return rep
+
+
+def test_b7_holds_strictly_on_the_exact_flow_at_long_horizons():
+    # the RK4 flow's own error was about 3.9e3 times this rhs
+    rep = _b7_row(50.0, 12.5)
+    assert rep.lhs < rep.rhs
+    assert rep.lhs / rep.rhs == pytest.approx(0.04, rel=1e-3)
+    # the true gap, about 1e-64, is below one ulp of the state
+    assert _b7_row(200.0, 50.0).lhs == 0.0
+
+
+def _counting(monkeypatch, *names):
+    """Record each call of the named functions of the bounds module."""
+    calls = []
+    for name in names:
+        def counted(*args, _name=name, _fn=getattr(bounds_module, name), **kwargs):
+            calls.append((_name, args[3] if _name == "solve_bridge" else None))
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(bounds_module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("P, x, y", [
+    (Potential.neg_log(2), [1.0, 2.0], [1.5, 0.5]),
+    (Potential.quadratic_isotropic(1), [2.0], [1.0]),
+    (Potential.quadratic_matrix([[2.0, 0.5], [0.5, 1.0]]), [1.0, -1.0], [0.5, 2.0]),
+], ids=["neg_log", "isotropic", "matrix"])
+def test_a_builtin_reads_its_exact_flows_and_unit_horizon_cost(monkeypatch, P, x, y):
+    T = 4.0
+    sol = closed_form_solution(P, x, y, T, 400)
+    calls = _counting(monkeypatch, "gradient_flow", "solve_bridge")
+    reports = verify_bounds(P, x, y, T, solution=sol)
+    assert calls == []
+    assert reports and all(rep.passed for rep in reports)
+    for rep in reports:
+        if rep.bound_id in ("B7", "B8"):
+            start = x if rep.context["orientation"] == "forward" else y
+            idx = sol.trajectory.nearest_index(rep.context["t"])
+            states = sol.trajectory.states if start is x else sol.trajectory.states[::-1]
+            exact = closed_form_flow(P, start, sol.trajectory.times[idx])
+            assert rep.lhs == float(np.linalg.norm(states[idx] - exact))
+    if np.isfinite(P.n_dim):
+        c1 = [rep.context["c1"] for rep in reports if "c1" in rep.context]
+        assert c1 and set(c1) == {closed_form_cost(P, x, y, 1.0)}
+
+
+def _custom_neg_log():
+    return Potential.custom(1, lambda x: -float(np.log(x[0])), lambda x: -1.0 / x,
+                            lambda x, v: v / (x * x), n_dim=1.0, domain=POSITIVE_ORTHANT)
+
+
+def test_a_custom_potential_takes_the_numerical_flow_and_unit_horizon_solve(monkeypatch):
+    P, x, y, T = _custom_neg_log(), [1.0], [1.5], 2.0
+    opts = SolverOptions(grid_points=401)
+    sol = solve_bridge(P, x, y, T, opts)
+    calls = _counting(monkeypatch, "gradient_flow", "solve_bridge")
+    reports = verify_bounds(P, x, y, T, solution=sol, opts=opts)
+    assert calls == [("solve_bridge", 1.0), ("gradient_flow", None)]
+    builtin = verify_bounds(Potential.neg_log(1), x, y, T, solution=sol, opts=opts)
+    assert [r.bound_id for r in reports] == [r.bound_id for r in builtin]
+    for rep, ref in zip(reports, builtin):
+        assert rep.passed and ref.passed
+        assert rep.lhs == pytest.approx(ref.lhs, rel=1e-6, abs=1e-9)
+        assert rep.rhs == pytest.approx(ref.rhs, rel=1e-6, abs=1e-9)
+
+
+def test_a_failing_unit_horizon_solve_is_a_missing_prerequisite(monkeypatch):
+    def failing(P, x, y, T, opts=None):
+        raise NoConvergence(f"no bridge at T = {T:g}")
+
+    monkeypatch.setattr(bounds_module, "solve_bridge", failing)
+    with pytest.raises(MissingPrerequisite, match="unit-horizon cost: no bridge at T = 1"):
+        unit_horizon_cost(_custom_neg_log(), [1.0], [1.5])
+    # a builtin's c1 is exact and reaches no solve
+    assert unit_horizon_cost(Potential.neg_log(1), [1.0], [1.5]) == closed_form_cost(
+        NEGLOG, [1.0], [1.5], 1.0)
 
 
 def test_b9_is_zero_at_the_midpoint_when_both_endpoints_are_the_minimizer():

@@ -606,14 +606,15 @@ COARSE_IDS = ["quadratic", "cosh"]
 
 def test_custom_shooting_integrates_the_jacobian_only_when_newton_steps(monkeypatch):
     # the 2-D cosh potential on two segments. The coarse phase evaluates the
-    # M segment starts in kc < k steps and integrates the M + n starts and
-    # perturbed rows, also in kc steps, once per Newton step; the fine phase
-    # then evaluates the M starts on the fine grid, and its first step takes
-    # the coarse phase's last Jacobian, so it integrates no Jacobian batch
+    # M segment starts in kc < k steps and integrates the n perturbed rows,
+    # also in kc steps, once per Newton step, against the landings of that
+    # evaluation; the fine phase then evaluates the M starts on the fine
+    # grid, and its first step takes the coarse phase's last Jacobian, so it
+    # integrates no Jacobian batch
     P = _cosh_custom(2)
     x, y, T, nodes = [1.0, 0.5], [0.5, -1.0], 8.0, 401
     M, k, kc = _coarse_steps(P, x, y, T, nodes)
-    wide, n = _widths(P, M)
+    _, n = _widths(P, M)
     assert (M, k) == (2, 200) and 1 <= kc < k
     opts = SolverOptions(method="shooting", grid_points=nodes)
     calls = _recording_phase(monkeypatch)
@@ -622,9 +623,9 @@ def test_custom_shooting_integrates_the_jacobian_only_when_newton_steps(monkeypa
     coarse = sol.context["coarse_iterations"]
     assert coarse > 1 and sol.iterations == 2
     fine = calls.index((M, k))
-    assert set(calls[:fine]) == {(M, kc), (wide, kc)}
+    assert set(calls[:fine]) == {(M, kc), (n, kc)}
     # the converged coarse iterate takes no step
-    assert calls[:fine].count((wide, kc)) == coarse - 1
+    assert calls[:fine].count((n, kc)) == coarse - 1
     assert calls[:fine].count((M, kc)) >= coarse
     assert calls[fine:] == [(M, k)] * 2
 
@@ -675,7 +676,9 @@ def test_unconverged_coarse_phase_leaves_the_fine_phase_the_raw_guess(monkeypatc
     assert 2 <= M <= 4 and kc < k
     opts = SolverOptions(method="shooting", grid_points=nodes)
     twin = solve_bridge_shooting(_batched_twin(P), x, y, T, opts)
-    calls = _recording_phase(monkeypatch, fails=lambda width, steps: (width, steps) == (wide, kc))
+    coarse_batches = {(n, kc), (wide, kc)}  # of the coarse phase, and of a fine step
+    calls = _recording_phase(monkeypatch,
+                             fails=lambda width, steps: (width, steps) in coarse_batches)
     sol = solve_bridge_shooting(P, x, y, T, opts)
     assert sol.context["coarse_iterations"] == 1
     assert np.array_equal(sol.trajectory.states, twin.trajectory.states)
@@ -684,9 +687,9 @@ def test_unconverged_coarse_phase_leaves_the_fine_phase_the_raw_guess(monkeypatc
     assert sol.iterations == twin.iterations > 1
     # one coarse pass, then each fine step: the coarse batch escapes, and
     # the n rows run on the fine grid
-    assert calls[:3] == [(M, kc), (wide, kc), (M, k)]
-    assert calls.count((M, kc)) == 1
-    assert calls.count((wide, kc)) - 1 == calls.count((n, k)) == sol.iterations - 1
+    assert calls[:3] == [(M, kc), (n, kc), (M, k)]
+    assert calls.count((M, kc)) == calls.count((n, kc)) == 1
+    assert calls.count((wide, kc)) == calls.count((n, k)) == sol.iterations - 1
 
 
 @pytest.mark.parametrize("P, x, y, T, nodes", FALLBACK_CASES[1:],
@@ -704,7 +707,7 @@ def test_unconverged_coarse_phase_leaves_no_jacobian_to_the_fine_phase(monkeypat
     batches = []
 
     def later_batches(width, steps):
-        batches.append((width, steps) == (wide, kc))
+        batches.append((width, steps) in {(n, kc), (wide, kc)})
         return batches[-1] and sum(batches) > 1
 
     _recording_phase(monkeypatch, fails=later_batches)
@@ -723,7 +726,8 @@ def test_escaping_coarse_and_fine_jacobians_stop_after_the_first_iteration(monke
     wide, n = _widths(P, M)
     opts = SolverOptions(method="shooting", grid_points=nodes)
     outcomes = []
-    for potential, escaping in ((P, {(wide, kc), (n, k)}), (_batched_twin(P), {(wide, k), (n, k)})):
+    for potential, escaping in ((P, {(n, kc), (wide, kc), (n, k)}),
+                                (_batched_twin(P), {(wide, k), (n, k)})):
         calls = _recording_phase(monkeypatch, fails=lambda width, steps: (width, steps) in escaping)
         with pytest.raises(NoConvergence) as info:
             solve_bridge_shooting(potential, x, y, T, opts)

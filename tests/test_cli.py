@@ -6,10 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import bridgelab.bounds as bounds_module
 import bridgelab.cli as cli_module
-from bridgelab import (DomainEscape, NoConvergence, OffGrid, Potential, SolverOptions,
-                       gradient_flow, solve_bridge)
+from bridgelab import (DomainEscape, MissingPrerequisite, NoConvergence, OffGrid, Potential,
+                       SolverOptions, gradient_flow, solve_bridge)
 from bridgelab.cli import main
 from bridgelab.config import builtin_config_names, load_builtin_config, resolve_config
 from bridgelab.errors import ConfigError
@@ -124,6 +123,20 @@ def failing_at(horizon, solve):
     return patched, asked
 
 
+def unit_horizon_cost_by(solve):
+    """A stand-in for the CLI's ``unit_horizon_cost`` that solves the bridge at
+    T = 1 with `solve`, as the library does for a potential without a closed
+    form; a builtin's c1 is exact and reaches no solve."""
+
+    def cost(P, x, y, opts=None):
+        try:
+            return solve(P, x, y, 1.0, opts).cost
+        except NoConvergence as exc:
+            raise MissingPrerequisite(f"could not compute the unit-horizon cost: {exc}") from exc
+
+    return cost
+
+
 def test_first_failing_case_stops_the_run_without_keep_going(tmp_path, monkeypatch):
     patched, asked = failing_at(2.0, solve_bridge)
     monkeypatch.setattr(cli_module, "solve_bridge", patched)
@@ -138,7 +151,7 @@ def test_first_failing_case_stops_the_run_without_keep_going(tmp_path, monkeypat
 
 def test_failing_unit_horizon_solve_is_tried_once_and_fails_every_case(tmp_path, monkeypatch):
     patched, asked = failing_at(1.0, solve_bridge)
-    monkeypatch.setattr(bounds_module, "solve_bridge", patched)
+    monkeypatch.setattr(cli_module, "unit_horizon_cost", unit_horizon_cost_by(patched))
     cfg = write_config(
         tmp_path,
         {
@@ -222,7 +235,7 @@ def test_verify_mode_solves_the_unit_horizon_cost_once(tmp_path, monkeypatch):
         horizons.append(T)
         return solve_bridge(P, x, y, T, opts)
 
-    monkeypatch.setattr(bounds_module, "solve_bridge", counting_solve)
+    monkeypatch.setattr(cli_module, "unit_horizon_cost", unit_horizon_cost_by(counting_solve))
     cfg = write_config(
         tmp_path,
         {

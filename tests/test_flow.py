@@ -70,6 +70,23 @@ def test_closed_form_flow_of_a_quadratic_matrix_matches_gradient_flow(A):
     assert np.max(np.abs(traj.states - exact)) <= 1e-12
 
 
+@pytest.mark.parametrize("P, x0", [
+    (Potential.quadratic_isotropic(2), [2.0, -1.0]),
+    (Potential.neg_log(2), [1.0, 3.0]),
+    (Potential.quadratic_matrix(rotated([0.3, 2.5])), [1.0, -0.5]),
+], ids=["isotropic", "neg_log", "matrix"])
+def test_closed_form_flow_over_an_array_of_times(P, x0):
+    # one expression per kind: rows (n, d) at the times (n,), each the flow at its time
+    rk4 = gradient_flow(P, x0, 3.0, steps=3000)
+    flow = closed_form_flow(P, x0, rk4.times)
+    assert flow.shape == rk4.states.shape
+    each = np.array([closed_form_flow(P, x0, t) for t in rk4.times])
+    np.testing.assert_allclose(flow, each, rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(flow, rk4.states, rtol=1e-9, atol=0.0)
+    with pytest.raises(ValueError):
+        closed_form_flow(P, x0, np.array([0.0, -1e-3]))
+
+
 def test_closed_form_flow_of_a_builtin_is_the_flow_of_its_kind():
     for P, x0 in ((Potential.quadratic_isotropic(2), [2.0, -1.0]), (Potential.neg_log(2), [1.0, 3.0])):
         for t in (0.0, 0.3, 7.0):

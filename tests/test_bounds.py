@@ -15,7 +15,6 @@ from bridgelab import (
     closed_form_flow,
     closed_form_solution,
     fit_rate,
-    gradient_flow,
     solve_bridge,
     solve_bridge_shooting,
     verify_bounds,
@@ -255,10 +254,10 @@ def test_a_builtin_reads_its_exact_flows_and_unit_horizon_cost(monkeypatch, P, x
     assert reports and all(rep.passed for rep in reports)
     for rep in reports:
         if rep.bound_id in ("B7", "B8"):
-            start = x if rep.context["orientation"] == "forward" else y
+            forward = rep.context["orientation"] == "forward"
+            states = sol.trajectory.states if forward else sol.trajectory.states[::-1]
             idx = sol.trajectory.nearest_index(rep.context["t"])
-            states = sol.trajectory.states if start is x else sol.trajectory.states[::-1]
-            exact = closed_form_flow(P, start, sol.trajectory.times[idx])
+            exact = closed_form_flow(P, x if forward else y, sol.trajectory.times[idx])
             assert rep.lhs == float(np.linalg.norm(states[idx] - exact))
     if np.isfinite(P.n_dim):
         c1 = [rep.context["c1"] for rep in reports if "c1" in rep.context]

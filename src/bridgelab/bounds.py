@@ -16,7 +16,7 @@ import numpy as np
 
 from .bridge import BridgeSolution, SolverOptions, closed_form_cost, reverse_solution, solve_bridge
 from .errors import BridgeLabError, DegenerateSeries, MissingPrerequisite, UnsupportedKind
-from .flow import Trajectory, closed_form_flow, gradient_flow
+from .flow import flows_on_grid
 from .potential import Potential
 
 #: Reports pass when margin >= -BOUND_TOL * (1 + |rhs|).
@@ -109,9 +109,9 @@ def verify_bounds(
     `solution` is solved on demand, and so is `c1` (see
     ``unit_horizon_cost``); a caller checking several horizons of one pair
     can solve `c1` once and pass it. The gradient flow of each orientation
-    is read at the solution's node times: exactly (``closed_form_flow``)
-    for a builtin potential, and otherwise by RK4 on the solution's grid,
-    both orientations as one ``gradient_flow`` batch. `t_values` defaults
+    is read at the solution's node times (``flows_on_grid``): exact for a
+    builtin potential, and otherwise RK4 on the solution's grid, both
+    orientations as one batch. `t_values` defaults
     to T times T_FRACTIONS and `theta_values` to THETA_VALUES. Unless
     x == y, the reversed bridge from y to x is checked too; each report's
     `context["orientation"]` is "forward" or "reversed".
@@ -133,13 +133,7 @@ def verify_bounds(
     # the gradient flow of each orientation, one from each source
     flows = [None, None]
     if np.isfinite(P.n_dim) or (P.rho is not None and P.rho > 0):
-        times = solution.trajectory.times
-        try:
-            exact = [closed_form_flow(P, p, times) for p in sources]
-            flows[:len(sources)] = [Trajectory(times, s, -P.grad_many(s)) for s in exact]
-        except UnsupportedKind:
-            flows[:len(sources)] = gradient_flow(P, np.array(sources), T,
-                                                 steps=solution.trajectory.n_nodes - 1)
+        flows[:len(sources)] = flows_on_grid(P, np.array(sources), solution.trajectory.times)
     reports = _verify_one_orientation(
         P, x, y, T, solution, flows[0], c1, t_values, theta_values, "forward"
     )

@@ -17,7 +17,7 @@ import numpy as np
 
 from ._integrate import _damped_newton, integrate_grid
 from .errors import DomainEscape, NoConvergence, NonFinite, UnsupportedKind
-from .flow import Trajectory, default_steps, gradient_flow
+from .flow import Trajectory, default_steps, flows_on_grid
 from .functionals import energy_stats, trapezoid_cost
 from .potential import (ALL_SPACE, NEG_LOG, QUADRATIC_ISOTROPIC, QUADRATIC_MATRIX, Potential,
                         as_count, potential_from_config)
@@ -183,7 +183,7 @@ def _jacobian_steps(P: Potential, x, y, span: float, k: int) -> int:
     """RK4 steps kc of the coarse landing map and Jacobian batch for
     segments of at most ``span`` time units and k fine steps (see
     JACOBIAN_STEP); k when the curvature at x and y is not finite."""
-    lam = _largest_curvature(P, [x, y])
+    lam = float(np.max(np.linalg.eigvalsh(np.array([P.hessian(x), P.hessian(y)]))))
     if not lam < math.inf:
         return k
     return min(k, math.ceil(span * max(lam, 1.0) / JACOBIAN_STEP))
@@ -208,10 +208,9 @@ def solve_bridge_shooting(P: Potential, x, y, T: float, opts: SolverOptions | No
     that long bridges follow. With M > 1 it starts from the paper's
     long-time picture (the turnpike seed): segment states on [0, T/2]
     follow the gradient flow from x with velocity -F', those on (T/2, T]
-    the reversed flow from y with velocity +F'; both flows run as one batch,
-    only up to the segment starts, with a step sized by the curvature of F
-    at x and y, or on the solve's grid where that curvature is not positive
-    or rises at a read state (``_turnpike_seed``).
+    the reversed flow from y with velocity +F'. The flows are exact for a
+    builtin potential and RK4 on the solve's grid otherwise
+    (``_turnpike_seed``).
 
     Each start runs ``_damped_newton``, which owns every escape and
     overflow of an integration. The Jacobian is block bidiagonal: each
@@ -429,58 +428,23 @@ def _shooting_step(jac: np.ndarray, r: np.ndarray) -> np.ndarray:
     return _block_tridiagonal_solve(L, D, U, b).ravel()[d:]
 
 
-#: The turnpike seed integrates its flows with steps of at most
-#: max(h, TURNPIKE_STEP / lam), h the solve's grid step and lam the largest
-#: eigenvalue of F'' at x and y. While F'' along both flows stays at or
-#: below lam, step * lam is at most max(h * lam, TURNPIKE_STEP): well inside
-#: RK4's stability interval (about 2.79) wherever the solve's own step is.
-TURNPIKE_STEP = 0.5
-
-
-def _largest_curvature(P: Potential, points) -> float:
-    """Largest eigenvalue of F'' over the points (one ``hessian`` each, one
-    ``eigvalsh``)."""
-    return float(np.max(np.linalg.eigvalsh(np.array([P.hessian(p) for p in points]))))
-
-
 def _turnpike_seed(P: Potential, x, y, T: float, steps: int, starts) -> np.ndarray:
     """Multiple-shooting unknowns from the gradient flows out of x and into y.
 
     A segment starting at node s <= steps/2 takes the state of the flow from
-    x there with velocity -F'; a later one the state of the flow from y at
-    node steps - s with velocity +F' (that flow reversed in time). Both
-    flows run as one batch in ``gradient_flow``'s stop-time form, only up to
-    the nodes read. The step is max(h, TURNPIKE_STEP / lam), lam the largest
-    eigenvalue of F'' at x and y, or the solve's grid step h when lam <= 0.
-    A coarser step is kept only when the flows stay in the domain and F'' at
-    every read state is at most lam (constant for quadratics, falling along
-    the outward neg-log flow); otherwise both flows are run again at h.
+    x at node s of the solve's grid, with velocity -F'; a later one the state
+    of the flow from y at node steps - s, with velocity +F' (that flow
+    reversed in time). Both flows come from ``flows_on_grid`` on the solve's
+    grid up to the last node read: exact for a builtin potential, RK4 on the
+    grid otherwise.
     """
-    h = T / steps
     early = 2 * starts <= steps
     node = np.where(early, starts, steps - starts)
-    # sorted(set(...)), not np.unique, whose first call pages in about 0.6 MB of code
-    read = np.array(sorted(set(node.tolist())))
-    ends = np.array([x, y])
-    lam = _largest_curvature(P, ends)
-    step = max(h, TURNPIKE_STEP / lam) if lam > 0 else h
-
-    def flows(max_step):
-        return gradient_flow(P, ends, read[-1] * h, stops=read[1:] * h, max_step=max_step)
-
-    pair = None
-    if step > h:
-        try:
-            pair = flows(step)
-        except (DomainEscape, NonFinite):
-            pass
-        if pair is not None and _largest_curvature(P, np.vstack([f.states for f in pair])) > lam:
-            pair = None
-    from_x, from_y = pair or flows(h)
-    at = np.searchsorted(read, node)
+    times = np.linspace(0.0, T, steps + 1)[:node.max() + 1]
+    from_x, from_y = flows_on_grid(P, np.array([x, y]), times)
     Z = np.where(early[:, None],
-                 np.hstack([from_x.states[at], from_x.velocities[at]]),
-                 np.hstack([from_y.states[at], -from_y.velocities[at]]))
+                 np.hstack([from_x.states[node], from_x.velocities[node]]),
+                 np.hstack([from_y.states[node], -from_y.velocities[node]]))
     return Z.ravel()[P.dim:]
 
 

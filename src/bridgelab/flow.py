@@ -8,7 +8,7 @@ from functools import cached_property
 import numpy as np
 
 from ._integrate import integrate_grid
-from .errors import NonUniformGrid, OffGrid, UnsupportedKind
+from .errors import DomainError, NonUniformGrid, OffGrid, UnsupportedKind
 from .potential import ALL_SPACE, NEG_LOG, QUADRATIC_ISOTROPIC, QUADRATIC_MATRIX, Potential
 
 #: Relative spacing variation tolerated before a grid counts as non-uniform.
@@ -88,74 +88,63 @@ def default_steps(T: float) -> int:
     return int(math.ceil(max(100.0, 100.0 * T)))
 
 
-def gradient_flow(P: Potential, x0, T: float, steps: int | None = None, *,
-                  stops=None, max_step: float | None = None):
+def gradient_flow(P: Potential, x0, T: float, steps: int | None = None):
     """Integrate dS/dt = -F'(S) from x0 over [0, T] with classical RK4.
 
     ``x0`` is one point (d,), which gives one Trajectory, or rows (m, d) of
     starting points, which are integrated as one batch and give a list of m
-    Trajectories. The grid is uniform with `steps` intervals (default
+    Trajectories; a row of a batch follows exactly the path it would follow
+    on its own. The grid is uniform with `steps` intervals (default
     heuristic ``ceil(max(100, 100 T))``). Node velocities are -F'(state).
     For positive-orthant potentials a step that leaves the orthant raises
     DomainEscape.
-
-    Stop-time form: given ``stops``, strictly increasing times in (0, T],
-    and ``max_step``, the flow is integrated only up to the last stop and
-    its nodes are 0 and the stops, exactly. The gap before each stop is
-    integrated in ceil(gap / max_step) equal RK4 steps, all rows as one
-    batch; giving ``steps`` too raises ValueError. A row of a batch still
-    follows exactly the path it would follow on its own.
     """
     points = np.asarray(x0, dtype=float)
     batch = points.ndim == 2
     starts = np.array([P.check_domain(p) for p in (points if batch else [x0])])
     if not 0.0 < T < math.inf:
         raise ValueError("T must be positive and finite")
-
+    if steps is None:
+        steps = default_steps(T)
+    if steps < 2:
+        raise ValueError("steps must be >= 2")
     feasible = P.in_domain if P.domain != ALL_SPACE else None
-
-    def rhs(X):
-        return -P.grad_many(X)
-
-    if stops is None:
-        if steps is None:
-            steps = default_steps(T)
-        if steps < 2:
-            raise ValueError("steps must be >= 2")
-        states = integrate_grid(rhs, starts, T, steps, feasible)
-        times = np.linspace(0.0, T, steps + 1)
-    else:
-        if steps is not None:
-            raise ValueError("give steps or stops, not both")
-        times = np.concatenate([[0.0], np.asarray(stops, dtype=float)])
-        gaps = np.diff(times)
-        if times.size < 2 or not (np.all(gaps > 0) and times[-1] <= T):
-            raise ValueError("stops must be strictly increasing times in (0, T]")
-        if max_step is None or not 0.0 < max_step < math.inf:
-            raise ValueError("max_step must be finite and positive")
-        states = [starts]
-        for gap in gaps:
-            # a gap that is a whole number of max_steps up to rounding takes that many
-            n = math.ceil(gap / max_step * (1.0 - UNIFORMITY_RTOL))
-            states.append(integrate_grid(rhs, states[-1], gap, n, feasible)[-1])
-        states = np.array(states)
+    states = integrate_grid(lambda X: -P.grad_many(X), starts, T, steps, feasible)
+    times = np.linspace(0.0, T, steps + 1)
     paths = np.moveaxis(states, 1, 0).copy()  # one contiguous path per start
     flows = [Trajectory(times, path, -P.grad_many(path)) for path in paths]
     return flows if batch else flows[0]
+
+
+def flows_on_grid(P: Potential, sources, times) -> list[Trajectory]:
+    """The gradient flows from the rows ``sources`` (m, d) at the nodes of
+    ``times``, a uniform grid from 0: exact (``closed_form_flow``) where P
+    has a closed form, otherwise ``gradient_flow``'s RK4 with one step per
+    grid interval, all sources as one batch. Velocities are -F'(state)."""
+    try:
+        exact = [closed_form_flow(P, p, times) for p in sources]
+    except UnsupportedKind:
+        return gradient_flow(P, sources, times[-1], steps=len(times) - 1)
+    return [Trajectory(times, s, -P.grad_many(s)) for s in exact]
 
 
 def closed_form_flow(P, x0, t) -> np.ndarray:
     """Exact gradient flow from x0 (d,) of the builtin potential, or builtin
     kind, P, at one time t, which gives (d,), or at an array of times (n,),
     which gives (n, d); a custom potential, or the quadratic-matrix kind
-    without its matrix, is UnsupportedKind. The quadratic-matrix flow is
-    Q diag(e^{-lam t}) Q^T x0, its last product an elementwise sum as in the
-    bridge closed forms."""
+    without its matrix, is UnsupportedKind. A potential checks x0 against
+    its domain, and the neg-log kind needs a positive x0 (DomainError
+    otherwise). The quadratic-matrix flow is Q diag(e^{-lam t}) Q^T x0, its
+    last product an elementwise sum as in the bridge closed forms."""
     t = np.asarray(t, dtype=float)[..., None]  # a time per row, broadcast over the coordinates
     if np.any(t < 0):
         raise ValueError("t must be nonnegative")
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    kind = P.kind if isinstance(P, Potential) else P
+    if isinstance(P, Potential):
+        x0, kind = P.check_domain(x0), P.kind
+    else:
+        x0, kind = np.atleast_1d(np.asarray(x0, dtype=float)), P
+        if kind == NEG_LOG and not np.all(x0 > 0.0):
+            raise DomainError(f"point {x0} outside domain of {NEG_LOG}")
     if kind == QUADRATIC_ISOTROPIC:
         return np.exp(-t) * x0
     if kind == NEG_LOG:

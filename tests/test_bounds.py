@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import bridgelab.bounds as bounds_module
+import bridgelab.flow as flow_module
 from bridgelab import (
     DegenerateSeries,
     MissingPrerequisite,
@@ -229,14 +230,15 @@ def test_b7_holds_strictly_on_the_exact_flow_at_long_horizons():
     assert _b7_row(200.0, 50.0).lhs == 0.0
 
 
-def _counting(monkeypatch, *names):
-    """Record each call of the named functions of the bounds module."""
+def _counting(monkeypatch):
+    """Record each call of the flow module's gradient_flow and the bounds
+    module's solve_bridge."""
     calls = []
-    for name in names:
-        def counted(*args, _name=name, _fn=getattr(bounds_module, name), **kwargs):
+    for module, name in ((flow_module, "gradient_flow"), (bounds_module, "solve_bridge")):
+        def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
             calls.append((_name, args[3] if _name == "solve_bridge" else None))
             return _fn(*args, **kwargs)
-        monkeypatch.setattr(bounds_module, name, counted)
+        monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -248,7 +250,7 @@ def _counting(monkeypatch, *names):
 def test_a_builtin_reads_its_exact_flows_and_unit_horizon_cost(monkeypatch, P, x, y):
     T = 4.0
     sol = closed_form_solution(P, x, y, T, 400)
-    calls = _counting(monkeypatch, "gradient_flow", "solve_bridge")
+    calls = _counting(monkeypatch)
     reports = verify_bounds(P, x, y, T, solution=sol)
     assert calls == []
     assert reports and all(rep.passed for rep in reports)
@@ -273,7 +275,7 @@ def test_a_custom_potential_takes_the_numerical_flow_and_unit_horizon_solve(monk
     P, x, y, T = _custom_neg_log(), [1.0], [1.5], 2.0
     opts = SolverOptions(grid_points=401)
     sol = solve_bridge(P, x, y, T, opts)
-    calls = _counting(monkeypatch, "gradient_flow", "solve_bridge")
+    calls = _counting(monkeypatch)
     reports = verify_bounds(P, x, y, T, solution=sol, opts=opts)
     assert calls == [("solve_bridge", 1.0), ("gradient_flow", None)]
     builtin = verify_bounds(Potential.neg_log(1), x, y, T, solution=sol, opts=opts)

@@ -17,6 +17,7 @@ from bridgelab import (
     closed_form_bridge_trajectory,
     closed_form_cost,
     closed_form_energy,
+    closed_form_flow,
     newton_residual,
     solve_bridge,
     solve_bridge_action,
@@ -318,14 +319,13 @@ def test_multiple_shooting_neglog_long_horizon_matches_closed_form(monkeypatch, 
         seed_steps.append(steps)
         return integrate_grid(rhs, z0, span, steps, feasible)
 
-    # only the turnpike seed's gradient flows integrate through the flow module
+    # a custom seed's flows would integrate through the flow module; a builtin's are exact
     monkeypatch.setattr(flow_module, "integrate_grid", counted)
     sol, err = sup_error_against_closed_form(Potential.neg_log(1), [1.0], [1.0], T)
     assert sol.context["segments"] == segments
     assert sol.trajectory.n_nodes == 100 * int(T) + 1  # the default grid
     assert err <= 1e-8
-    # flows on the solve's grid took (n_nodes - 1) // 2 steps: 50 000 at T = 1000
-    assert 0 < sum(seed_steps) < 0.05 * ((sol.trajectory.n_nodes - 1) // 2)
+    assert seed_steps == []
 
 
 def _double_well():
@@ -346,28 +346,51 @@ def test_turnpike_seed_without_positive_curvature_runs_on_the_grid(P, x, y, segm
 
 
 @pytest.mark.parametrize("P, x0", [
-    # F''(2) = 0.07 allows a step of 7 by the endpoint rule; along the flow
-    # toward 0, F'' rises to 1, and one step of 5 lands at 1.0, not 0.02
+    # F'' falls from 1 at 0 to 0.07 at 2
     (Potential.custom(1, lambda x: float(np.log(np.cosh(x[0]))), np.tanh,
                       lambda x, v: v / np.cosh(x) ** 2), 2.0),
-    # F''(0.6) = 0.08 allows 6.25; F'' rises to 2 toward x = 1 and that step overflows
+    # F'' rises from 0.08 at 0.6 to 2 at the minimizer x = 1
     (_double_well(), 0.6),
 ])
-def test_turnpike_seed_reruns_on_the_grid_where_curvature_rises(P, x0):
+def test_a_custom_turnpike_seed_runs_on_the_grid(P, x0):
     steps = 2000
     starts, _ = bridge_module._segment_starts(P, 20.0, steps)
     assert list(starts) == [0, 500, 1000, 1500]
-    with np.errstate(over="ignore", invalid="ignore"):  # the coarse double-well flow overflows
-        seed = bridge_module._turnpike_seed(P, np.array([x0]), np.array([x0]), 20.0, steps, starts)
+    seed = bridge_module._turnpike_seed(P, np.array([x0]), np.array([x0]), 20.0, steps, starts)
     # unknowns: the first velocity, then each later start's state and velocity
     states = np.concatenate([[x0], seed[1::2]])
     on_grid = gradient_flow(P, [x0], 10.0, steps=1000).states[[0, 500, 1000, 500], 0]
     np.testing.assert_allclose(states, on_grid, rtol=1e-12)
 
 
+@pytest.mark.parametrize("P, x, y", [
+    (Potential.neg_log(2), [1.0, 0.7], [1.6, 2.2]),
+    (Potential.quadratic_isotropic(2), [2.0, -1.0], [1.0, 0.5]),
+    (Potential.quadratic_matrix([[2.0, 0.5], [0.5, 1.0]]), [1.0, -1.0], [0.5, 2.0]),
+], ids=["neg_log", "isotropic", "matrix"])
+def test_a_builtin_turnpike_seed_reads_the_exact_flows(monkeypatch, P, x, y):
+    monkeypatch.setattr(flow_module, "gradient_flow", None)  # a builtin seed integrates nothing
+    T, steps = 7.0, 700
+    starts, _ = bridge_module._segment_starts(P, T, steps)
+    assert len(starts) > 2
+    seed = bridge_module._turnpike_seed(P, np.array(x), np.array(y), T, steps, starts)
+    # unknowns: the first velocity, then each later start's state and velocity;
+    # the first state is x itself, not an unknown
+    Z = np.concatenate([[np.nan, np.nan], seed]).reshape(-1, 4)
+    times = np.linspace(0.0, T, steps + 1)
+    for j, s in enumerate(starts):
+        if 2 * s <= steps:
+            exact = closed_form_flow(P, x, times[s])
+            assert np.array_equal(Z[j, 2:], -P.grad(exact))
+        else:
+            exact = closed_form_flow(P, y, times[steps - s])
+            assert np.array_equal(Z[j, 2:], P.grad(exact))
+        assert j == 0 or np.array_equal(Z[j, :2], exact)
+
+
 @pytest.mark.parametrize("T, segments", [(5.0, 10), (20.0, 40)])
 def test_multiple_shooting_lands_a_stiff_axis_in_one_newton_step(T, segments):
-    # F'' = diag(1, 25): the seed's step is TURNPIKE_STEP / 25, twice the grid step
+    # F'' = diag(1, 25): the seed is the exact flow, whose fast axis has decayed
     P = Potential.quadratic_matrix(np.diag([1.0, 25.0]))
     sol = solve_bridge_shooting(P, [1.0, -0.5], [0.3, 1.5], T)
     assert sol.context["segments"] == segments

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bridgelab import (
+    DomainError,
     DomainEscape,
     OffGrid,
     Potential,
@@ -13,9 +14,7 @@ from bridgelab import (
     concavity_profile,
     gradient_flow,
 )
-import bridgelab.bridge as bridge_module
 import bridgelab.flow as flow_module
-from bridgelab._integrate import integrate_grid
 from bridgelab.potential import POSITIVE_ORTHANT
 
 
@@ -52,6 +51,13 @@ def test_closed_form_flow_values():
     assert closed_form_flow("neg_log", [1.0], 4.0)[0] == pytest.approx(3.0)
     with pytest.raises(UnsupportedKind):
         closed_form_flow("quadratic_matrix", [1.0], 1.0)
+
+
+@pytest.mark.parametrize("P", [Potential.neg_log(1), "neg_log"], ids=["potential", "kind"])
+@pytest.mark.parametrize("x0", [[-1.0], [0.0], [math.nan]])
+def test_closed_form_flow_rejects_a_start_outside_the_neg_log_domain(P, x0):
+    with pytest.raises(DomainError):
+        closed_form_flow(P, x0, 1.0)
 
 
 def rotated(diagonal, angle=0.7):
@@ -112,90 +118,6 @@ def test_flows_from_rows_equal_flows_from_each_point(P, starts):
         alone = gradient_flow(P, start, 1.5, steps=30)
         assert np.array_equal(flow.states, alone.states)
         assert np.array_equal(flow.velocities, alone.velocities)
-
-
-STOPS = [0.3, 0.9, 1.25, 3.0, 10.0]
-
-
-def test_stop_time_flow_has_each_stop_as_a_node_and_cuts_gaps_by_max_step(monkeypatch):
-    steps = []
-
-    def counted(rhs, z0, T, n, feasible=None):
-        steps.append(n)
-        return integrate_grid(rhs, z0, T, n, feasible)
-
-    monkeypatch.setattr(flow_module, "integrate_grid", counted)
-    flow = gradient_flow(Potential.neg_log(2), [1.0, 2.0], 10.0, stops=STOPS, max_step=0.3)
-    assert flow.times[0] == 0.0 and np.array_equal(flow.times[1:], STOPS)
-    # 0.9 - 0.3 is two steps of 0.3 up to rounding, and takes two
-    assert steps == [1, 2, 2, 6, 24]
-    np.testing.assert_allclose(flow.velocities, -Potential.neg_log(2).grad_many(flow.states))
-
-
-@pytest.mark.parametrize("stops, max_step", [
-    ([0.5, 0.5], 0.3), ([0.0, 1.0], 0.3), ([0.5, 3.0], 0.3), ([], 0.3), ([0.5, 1.0], 0.0),
-    ([0.5, 1.0], math.inf), ([0.5, 1.0], None),
-])
-def test_stop_time_flow_rejects_bad_stops_and_steps(stops, max_step):
-    with pytest.raises(ValueError):
-        gradient_flow(Potential.quadratic_isotropic(1), [1.0], 2.0, stops=stops, max_step=max_step)
-
-
-def test_stop_time_flow_rejects_a_step_count_too():
-    with pytest.raises(ValueError, match="not both"):
-        gradient_flow(Potential.quadratic_isotropic(1), [1.0], 2.0, 200, stops=[1.0], max_step=0.3)
-
-
-@pytest.mark.parametrize("P, starts", [
-    (Potential.neg_log(2), [[1.0, 2.0], [0.3, 0.7], [2.5, 0.1]]),
-    (Potential.quadratic_isotropic(2), [[2.0, -1.0], [0.0, 0.0]]),
-])
-def test_stop_time_flows_from_rows_equal_flows_from_each_point(P, starts):
-    flows = gradient_flow(P, np.array(starts), 10.0, stops=STOPS, max_step=0.05)
-    assert len(flows) == len(starts)
-    for start, flow in zip(starts, flows):
-        alone = gradient_flow(P, start, 10.0, stops=STOPS, max_step=0.05)
-        assert np.array_equal(flow.times, alone.times)
-        assert np.array_equal(flow.states, alone.states)
-        assert np.array_equal(flow.velocities, alone.velocities)
-
-
-@pytest.mark.parametrize("kind, P, x0", [
-    ("quadratic_isotropic", Potential.quadratic_isotropic(1), 2.0),
-    ("neg_log", Potential.neg_log(1), 1.0),
-])
-def test_stop_time_flow_meets_the_closed_form_within_rk4_local_error(kind, P, x0):
-    """Both flows have F''(x0) = 1, so the turnpike seed's step rule gives
-    max_step = TURNPIKE_STEP.
-
-    Bound: the error after a step is at most the error before it plus the
-    local error of one RK4 step from the computed state, because the exact
-    flow map contracts (its derivative is e^-h, and x / sqrt(x^2 + 2h) for
-    x' = 1/x). The local error is
-      - quadratic, x' = -x: |x| |p(-h) - e^-h| <= |x| h^5 / 120, where p is
-        the degree-4 Taylor polynomial RK4 reproduces (Lagrange remainder),
-        and |x| <= |x0| since |p(-h)| <= 1;
-      - neg-log, x' = 1/x: h^5 / (48 x^9) for h <= x^2. That is the leading
-        term of its series; the full error scales as x g(h / x^2), and
-        g(r) <= r^5 / 48 on (0, 1] (checked in high precision). RK4
-        overshoots here, so the exact state at the step's start, which is
-        smaller, gives the larger term.
-    Summing over every step up to a stop, plus a few ulps per step for
-    rounding, bounds the error there.
-    """
-    max_step = bridge_module.TURNPIKE_STEP
-    flow = gradient_flow(P, [x0], 10.0, stops=STOPS, max_step=max_step)
-    bound, t0 = 0.0, 0.0
-    for t, state in zip(STOPS, flow.states[1:, 0]):
-        n = math.ceil(round((t - t0) / max_step, 9))
-        h = (t - t0) / n
-        for j in range(n):
-            x = closed_form_flow(kind, [x0], t0 + j * h)[0]
-            local = abs(x0) * h**5 / 120 if kind == "quadratic_isotropic" else h**5 / (48 * x**9)
-            bound += local + 4e-16 * abs(x)
-        t0 = t
-        assert abs(state - closed_form_flow(kind, [x0], t)[0]) <= bound
-    assert bound < 5e-3 * abs(x0)
 
 
 def test_monotone_dissipation_along_flows():

@@ -20,12 +20,16 @@ def integrate_grid(
 ) -> np.ndarray:
     """Integrate dz/dt = rhs(z) on a uniform grid of `steps` intervals.
 
-    `z0` is one state (n,) or a batch of rows (m, n); `rhs` and `feasible`
-    are called on arrays of that shape and the result has shape
-    (steps + 1,) + z0.shape. `T` is one horizon, or for a batch an (m,)
-    array of per-row horizons, each row then stepping by its own T / steps.
-    Rows never interact, so a row of a batch follows exactly the path it
-    would follow on its own.
+    `z0` is one state (n,) or a batch whose rows run along its second-to-last
+    axis, such as rows (m, n) or a phase-space batch (2, m, d) of positions
+    then velocities; `rhs` and `feasible` are called on arrays of that shape
+    and the result has shape (steps + 1,) + z0.shape. `T` is one horizon, or
+    for a batch an (m,) array of per-row horizons, each row then stepping by
+    its own T / steps: the steps broadcast as (m, 1). Rows never interact,
+    so a row of a batch follows exactly the path it would follow on its own.
+    `rhs` returns a fresh array or its argument; the integrator never writes
+    into an array `rhs` returned, and sums the four stages of a step into
+    one array of its own.
 
     When a `feasible` predicate is given, it is the one domain check: it must
     be true on a batch exactly when it is true on each of its rows. It runs
@@ -40,6 +44,7 @@ def integrate_grid(
         raise ValueError("steps must be >= 1")
     z = np.asarray(z0, dtype=float)
     h = T / steps if np.ndim(T) == 0 else (np.asarray(T, dtype=float) / steps)[:, None]
+    half, sixth = 0.5 * h, h / 6.0
 
     def inside(z):
         if feasible is not None and not feasible(z):
@@ -48,15 +53,24 @@ def integrate_grid(
 
     out = np.empty((steps + 1,) + z.shape)
     out[0] = inside(z)
+    z = out[0]
+    acc = np.empty_like(z)
     for i in range(1, steps + 1):
         k1 = rhs(z)
-        k2 = rhs(inside(z + (0.5 * h) * k1))
-        k3 = rhs(inside(z + (0.5 * h) * k2))
+        k2 = rhs(inside(z + half * k1))
+        k3 = rhs(inside(z + half * k2))
         k4 = rhs(inside(z + h * k3))
-        z = z + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        # z + h/6 (k1 + 2 (k2 + k3) + k4), operation for operation, in one buffer
+        np.add(k2, k3, out=acc)
+        acc *= 2.0
+        acc += k1
+        acc += k4
+        acc *= sixth
+        np.add(z, acc, out=out[i])
+        z = out[i]
         if not np.isfinite(z).all():
             raise NonFinite("state overflowed during integration")
-        out[i] = inside(z)
+        inside(z)
     return out
 
 

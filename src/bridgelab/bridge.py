@@ -110,9 +110,10 @@ def _finish_solution(traj, P, solver, boundary_error, iterations, **context) -> 
 def _integrate_phase(P: Potential, Z0: np.ndarray, T: float | np.ndarray,
                      steps: int) -> np.ndarray:
     """Integrate the phase-space Newton system from rows (m, 2d) of states as
-    one batch, over one horizon T or per-row horizons (m,); returns
-    (steps + 1, m, 2d)."""
-    d = P.dim
+    one batch, over one horizon T or per-row horizons (m,). The batch is held
+    as (2, m, d), every row's position and then every row's velocity, so the
+    force and the domain guard read one contiguous block; returns the paths
+    (steps + 1, 2, m, d), whose rows ``_rows_at`` reads."""
     # integrate_grid runs `feasible` on every stage state before rhs sees it,
     # so a builtin force is evaluated without checking the state again; a
     # positive-orthant custom potential's force still checks the same rows a
@@ -123,12 +124,22 @@ def _integrate_phase(P: Potential, Z0: np.ndarray, T: float | np.ndarray,
         feasible = None
     else:
         def feasible(z):
-            return P.in_domain(z[:, :d])
+            return P.in_domain(z[0])
 
     def rhs(z):
-        return np.concatenate([z[:, d:], force(z[:, :d])], axis=1)
+        dz = np.empty_like(z)
+        dz[0] = z[1]
+        dz[1] = force(z[0])
+        return dz
 
-    return integrate_grid(rhs, Z0, T, steps, feasible)
+    batch = Z0.reshape(len(Z0), 2, P.dim).transpose(1, 0, 2)
+    return integrate_grid(rhs, batch, T, steps, feasible)
+
+
+def _rows_at(paths: np.ndarray, nodes, rows: np.ndarray) -> np.ndarray:
+    """Row ``rows[i]`` of ``_integrate_phase`` paths at node ``nodes[i]`` (or
+    at the one node ``nodes``), as phase states (len(rows), 2d)."""
+    return paths[nodes, :, rows].reshape(len(rows), -1)
 
 
 #: Multiple shooting cuts [0, T] into segments of at most
@@ -288,7 +299,7 @@ def solve_bridge_shooting(P: Potential, x, y, T: float, opts: SolverOptions | No
         return landed.ravel()[:n] - np.concatenate([Z[1:].ravel(), y])
 
     def landing_error(u):
-        """Sup-norm error of u, with its (k + 1, M, 2d) segment paths, their
+        """Sup-norm error of u, with its (k + 1, 2, M, d) segment paths, their
         landings, its residuals and, when the merged batch ran, its Jacobian
         blocks."""
         Z = initial_states(u)
@@ -301,10 +312,10 @@ def solve_bridge_shooting(P: Potential, x, y, T: float, opts: SolverOptions | No
                 # a perturbed row failed: judge the trial by its own rows, and
                 # leave the Jacobian to newton_step
                 pass
-        paths = _integrate_phase(P, Z, span, k) if batch is None else batch[:, :M]
-        landed = paths[meet, np.arange(M)]
+        paths = _integrate_phase(P, Z, span, k) if batch is None else batch[:, :, :M]
+        landed = _rows_at(paths, meet, np.arange(M))
         if batch is not None:
-            jac = jacobian_blocks(batch[meet[seg], M + np.arange(n)], landed, fd)
+            jac = jacobian_blocks(_rows_at(batch, meet[seg], M + np.arange(n)), landed, fd)
         r = residuals(landed, Z)
         return float(np.max(np.abs(r))), (paths, landed, r, jac)
 
@@ -315,15 +326,17 @@ def solve_bridge_shooting(P: Potential, x, y, T: float, opts: SolverOptions | No
         Z = initial_states(u)
         rows, fd = perturbed_rows(Z)
         if landed is None:
-            end = _integrate_phase(P, np.concatenate([Z, rows]), horizons, kc)[-1]
+            paths = _integrate_phase(P, np.concatenate([Z, rows]), horizons, kc)
+            end = _rows_at(paths, -1, np.arange(M + n))
             return jacobian_blocks(end[M:], end[:M], fd)
-        return jacobian_blocks(_integrate_phase(P, rows, horizons[M:], kc)[-1], landed, fd)
+        moved = _integrate_phase(P, rows, horizons[M:], kc)
+        return jacobian_blocks(_rows_at(moved, -1, np.arange(n)), landed, fd)
 
     def coarse_error(u):
         """Sup-norm error of u on the coarse landing map, with its segments'
         landings and its residuals."""
         Z = initial_states(u)
-        landed = _integrate_phase(P, Z, horizons[:M], kc)[-1]
+        landed = _rows_at(_integrate_phase(P, Z, horizons[:M], kc), -1, np.arange(M))
         r = residuals(landed, Z)
         return float(np.max(np.abs(r))), (landed, r)
 
@@ -350,7 +363,7 @@ def solve_bridge_shooting(P: Potential, x, y, T: float, opts: SolverOptions | No
         if jac is None:
             rows, fd = perturbed_rows(initial_states(u))
             moved = _integrate_phase(P, rows, span, k)
-            jac = jacobian_blocks(moved[meet[seg], np.arange(n)], landed, fd)
+            jac = jacobian_blocks(_rows_at(moved, meet[seg], np.arange(n)), landed, fd)
         return _shooting_step(jac, r)
 
     # a potential without batched_rows converges on the coarse landing map
@@ -385,11 +398,11 @@ def solve_bridge_shooting(P: Potential, x, y, T: float, opts: SolverOptions | No
         total_iters += iterations
         if err < opts.tol_boundary:
             paths = data[0]
-            path = np.empty((steps + 1, 2 * d))
+            path = np.empty((steps + 1, 2, d))
             # a later segment overwrites its neighbour from their junction on
             for j, s in enumerate(starts):
-                path[s:s + k + 1] = paths[:, j]
-            traj = Trajectory(np.linspace(0.0, T, steps + 1), path[:, :d], path[:, d:])
+                path[s:s + k + 1] = paths[:, :, j]
+            traj = Trajectory(np.linspace(0.0, T, steps + 1), path[:, 0], path[:, 1])
             return _finish_solution(traj, P, "shooting", err, total_iters,
                                     restarts=attempt, segments=M,
                                     coarse_iterations=coarse_iters)

@@ -18,7 +18,7 @@ from .bounds import EXPONENTIAL, POWER_LAW, fit_rate, unit_horizon_cost, verify_
 from .bridge import solve_bridge
 from .config import ExperimentConfig, builtin_config_names, resolve_config
 from .errors import BridgeLabError, ConfigError, DegenerateSeries
-from .flow import gradient_flow
+from .flow import flows_on_grid, gradient_flow
 from .functionals import energy_stats
 from .gaussian import GaussianBridge, gamma_expansion, gaussian_cost, gaussian_energy, heat_flow_distance
 from .potential import Potential
@@ -50,8 +50,9 @@ def _fmt_lines(rows):
 def _write_trajectory(path: Path, traj, P: Potential) -> None:
     """One row per node: t, the state, the velocity, E and |F'(x) + v|.
 
-    Every column is a float, so a row is one %-format: "%.17g" renders a
-    float exactly as `_fmt` does.
+    Every column is a float, so the whole table is one %-format, a row's
+    line repeated once per node: "%.17g" renders a float exactly as `_fmt`
+    does.
     """
     grads = P.grad_many(traj.states)
     energy = energy_stats(traj, grads).samples[:, 1]
@@ -60,7 +61,7 @@ def _write_trajectory(path: Path, traj, P: Potential) -> None:
               + [f"v_{j + 1}" for j in range(P.dim)] + ["E", "phi_norm"])
     table = np.column_stack([traj.times, traj.states, traj.velocities, energy, phi_norm])
     line = ",".join(["%.17g"] * len(header)) + "\n"
-    _write_csv(path, header, (line % tuple(row) for row in table.tolist()))
+    _write_csv(path, header, [(line * len(table)) % tuple(table.ravel().tolist())])
 
 
 def _write_cases(path: Path, columns: list[str], cases: list[dict]) -> None:
@@ -230,8 +231,9 @@ def run(config: ExperimentConfig, *, keep_going: bool = False, threads: int = 1,
         }
 
     elif config.mode == "sweep":
-        # every case past T = 1 compares with the same flow: integrate it once
-        flow_t1 = _once(lambda: gradient_flow(P, config.x, 1.0, steps=200))
+        # every case past T = 1 compares with the same flow at t = 1, exact for
+        # a builtin and RK4 on 200 steps otherwise: compute it once
+        flow_t1 = _once(lambda: flows_on_grid(P, config.x[None], np.linspace(0.0, 1.0, 201))[0])
 
         def sweep_case(T):
             sol = solve_case(T)

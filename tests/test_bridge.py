@@ -425,7 +425,8 @@ def test_multiple_shooting_segments_meet_within_the_boundary_tolerance(P, x, y, 
     # stored nodes up to the next start and misses that start by at most tol
     ends = list(starts[1:]) + [steps]
     for s, e in zip(starts, ends):
-        alone = bridge_module._integrate_phase(P, phase[s:s + 1], k * T / steps, k)[:, 0]
+        alone = bridge_module._integrate_phase(P, phase[s:s + 1], k * T / steps, k)
+        alone = alone[:, :, 0].reshape(k + 1, 2 * P.dim)  # (position, velocity) per node
         np.testing.assert_allclose(alone[:e - s], phase[s:e], rtol=0, atol=1e-15)
         assert np.max(np.abs(alone[e - s] - phase[e])) <= opts.tol_boundary
     assert np.max(np.abs(traj.states[-1] - y)) <= opts.tol_boundary

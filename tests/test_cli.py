@@ -8,11 +8,11 @@ import pytest
 
 import bridgelab.cli as cli_module
 from bridgelab import (DomainEscape, MissingPrerequisite, NoConvergence, OffGrid, Potential,
-                       SolverOptions, gradient_flow, solve_bridge)
+                       SolverOptions, solve_bridge)
 from bridgelab.cli import main
 from bridgelab.config import builtin_config_names, load_builtin_config, resolve_config
 from bridgelab.errors import ConfigError
-from bridgelab.flow import Trajectory
+from bridgelab.flow import Trajectory, flows_on_grid
 from bridgelab.functionals import energy_stats
 
 
@@ -326,20 +326,20 @@ def test_sweep_integrates_the_flow_to_t1_once_and_fails_each_case_with_it(tmp_pa
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(args[2])
-        return gradient_flow(*args, **kwargs)
+        calls.append(args[2][-1])  # the flow's last grid time
+        return flows_on_grid(*args, **kwargs)
 
-    monkeypatch.setattr(cli_module, "gradient_flow", counted)
+    monkeypatch.setattr(cli_module, "flows_on_grid", counted)
     sweep = {**BASE, "mode": "sweep", "T_values": [0.5, 2.0, 3.0, 4.0],
              "solver": {"method": "shooting", "grid_points": 201}}
     assert main(["run", str(write_config(tmp_path, sweep)), "--out-dir", str(tmp_path / "a")]) == 0
     assert calls == [1.0]
 
     def failing(*args, **kwargs):
-        calls.append(args[2])
+        calls.append(args[2][-1])
         raise DomainEscape("the flow left the domain")
 
-    monkeypatch.setattr(cli_module, "gradient_flow", failing)
+    monkeypatch.setattr(cli_module, "flows_on_grid", failing)
     out = tmp_path / "b"
     assert main(["run", str(write_config(tmp_path, sweep)), "--keep-going", "--out-dir", str(out)]) == 2
     assert calls == [1.0, 1.0]
@@ -362,7 +362,7 @@ def test_sweep_interpolates_the_bridge_when_t1_is_off_the_grid(tmp_path):
         traj.index_of(1.0)
     i = int(np.searchsorted(traj.times, 1.0)) - 1
     w = (1.0 - traj.times[i]) / (traj.times[i + 1] - traj.times[i])
-    flow_t1 = gradient_flow(P, [2.0], 1.0, steps=200).states[-1]
+    flow_t1 = flows_on_grid(P, np.array([[2.0]]), np.linspace(0.0, 1.0, 201))[0].states[-1]
     dists = [float(np.linalg.norm(s - flow_t1)) for s in
              ((1.0 - w) * traj.states[i] + w * traj.states[i + 1], traj.states[i], traj.states[i + 1])]
     assert float(row[4]) == pytest.approx(dists[0], rel=1e-12, abs=0.0)
@@ -379,7 +379,7 @@ def test_sweep_reads_the_node_at_t1_bit_for_bit(tmp_path):
 
     P = Potential.quadratic_isotropic(1)
     traj = solve_bridge(P, [2.0], [1.0], 2.0, SolverOptions(**solver)).trajectory
-    flow_t1 = gradient_flow(P, [2.0], 1.0, steps=200).states[-1]
+    flow_t1 = flows_on_grid(P, np.array([[2.0]]), np.linspace(0.0, 1.0, 201))[0].states[-1]
     assert float(row[4]) == float(np.linalg.norm(traj.states[traj.index_of(1.0)] - flow_t1))
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import bridgelab.bridge as bridge_module
 from bridgelab import DomainEscape, NonFinite, Potential
 from bridgelab._integrate import _damped_newton, integrate_grid
 
@@ -123,6 +124,117 @@ def test_a_row_that_keeps_escaping_fails_the_whole_batch():
         integrate_grid(rhs, [0.1, 11.5], 1.0, 4, feasible)
     with pytest.raises(DomainEscape):
         integrate_grid(rhs, [[1.0, 0.3], [0.1, 11.5], [2.0, -0.4]], 1.0, 4, feasible)
+
+
+# -- the phase-space kernel ------------------------------------------------------------
+
+
+def as_rows(paths, d):
+    """``_integrate_phase`` paths (steps + 1, 2, m, d) as (steps + 1, m, 2d)."""
+    return paths.transpose(0, 2, 1, 3).reshape(len(paths), paths.shape[2], 2 * d)
+
+
+def recording_force(P):
+    """P with a force that keeps a copy of every batch it is called on."""
+    seen = []
+    force = P.force_fn
+
+    def recorded(X):
+        seen.append(X.copy())
+        return force(X)
+
+    P.force_fn = recorded
+    return P, seen
+
+
+def _cosh_custom(dim):
+    return Potential.custom(dim, lambda x: float(np.sum(np.log(np.cosh(x)))), np.tanh,
+                            lambda x, v: v / np.cosh(x) ** 2)
+
+
+@pytest.mark.parametrize("P, rows", [
+    (Potential.neg_log(1), [[1.0, 0.3], [2.0, -0.4], [0.5, 2.5], [1.3, 0.0]]),
+    (Potential.neg_log(2), [[1.5, 1.2, 0.3, 0.8], [2.0, 1.5, -0.4, 1.0], [1.1, 1.6, 0.9, 0.1]]),
+    (Potential.quadratic_matrix([[2.0, 0.5], [0.5, 1.0]]),
+     [[1.0, -2.0, 0.5, 0.0], [0.0, 0.0, 0.0, 0.0], [-3.0, 0.25, 1.0, -1.5]]),
+    (_cosh_custom(2), [[1.0, -0.5, 0.2, 0.3], [0.2, 0.7, -1.0, 0.0]]),
+], ids=["neg_log_1d", "neg_log_2d", "matrix_2x2", "custom_cosh_2d"])
+def test_integrate_phase_equals_the_row_layout_reference(P, rows):
+    # the reference keeps each state as one row (position, velocity) and
+    # builds its right-hand side by slicing and concatenating
+    rhs, feasible = phase_rows(P)
+    per_row = np.linspace(0.3, 1.1, len(rows))
+    for T in (0.8, per_row):
+        reference = integrate_grid(rhs, rows, T, 6, feasible)
+        paths = bridge_module._integrate_phase(P, np.array(rows), T, 6)
+        assert paths.shape == (7, 2, len(rows), P.dim)
+        assert np.array_equal(as_rows(paths, P.dim), reference)
+
+
+def test_integrate_phase_escapes_before_the_force_sees_the_stage():
+    # the inner stages of [0.1, 11.5] leave the orthant in the first step
+    P, seen = recording_force(Potential.neg_log(1))
+    rows = [[1.0, 0.3], [0.1, 11.5], [2.0, -0.4]]
+    with pytest.raises(DomainEscape):
+        bridge_module._integrate_phase(P, np.array(rows), 1.0, 4)
+    assert seen and all(np.all(X > 0.0) for X in seen)
+    assert np.array_equal(seen[0], np.array(rows)[:, :1])
+
+
+def test_integrate_phase_overflows_at_the_reference_step():
+    # x'' = x grows by about e per unit step: the row from 1e300 overflows
+    # in its 18th step, the others never
+    rows = [[1.0, 0.3, 0.5, 0.0], [1e300, 1e300, 0.0, 1e300], [-2.0, 1.0, 0.0, 0.5]]
+    counts = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for run in ("reference", "blocks"):
+            P, seen = recording_force(Potential.quadratic_isotropic(2))
+            rhs, feasible = phase_rows(P)
+            with pytest.raises(NonFinite):
+                if run == "reference":
+                    integrate_grid(rhs, rows, 40.0, 40, feasible)
+                else:
+                    bridge_module._integrate_phase(P, np.array(rows), 40.0, 40)
+            counts.append(len(seen))
+    assert counts[0] == counts[1] and 4 < counts[0] < 4 * 40
+
+
+def plain_rk4(rhs, z0, T, steps):
+    """Classical RK4 written out step by step, one new array per operation."""
+    z = np.asarray(z0, dtype=float)
+    h = T / steps if np.ndim(T) == 0 else (np.asarray(T, dtype=float) / steps)[:, None]
+    out = [z]
+    for _ in range(steps):
+        k1 = rhs(z)
+        k2 = rhs(z + (0.5 * h) * k1)
+        k3 = rhs(z + (0.5 * h) * k2)
+        k4 = rhs(z + h * k3)
+        z = z + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        out.append(z)
+    return np.array(out)
+
+
+def test_integrate_grid_equals_plain_rk4_bit_for_bit():
+    rhs, _ = phase_rows(Potential.neg_log(2))
+    rows = [[1.5, 1.2, 0.3, 0.8], [2.0, 1.5, -0.4, 1.0], [1.1, 1.6, 0.9, 0.1]]
+    for T in (1.1, np.array([0.4, 1.1, 0.9])):
+        assert np.array_equal(integrate_grid(rhs, rows, T, 7), plain_rk4(rhs, rows, T, 7))
+
+
+def test_integrate_grid_never_writes_into_what_rhs_returned():
+    for field in (lambda z: -z, lambda z: z):  # a fresh array, and rhs's own argument
+        returned = []
+
+        def rhs(z):
+            dz = field(z)
+            returned.append((dz, dz.copy()))
+            return dz
+
+        # a phase-space batch (2, m, d) with per-row horizons
+        batch = np.array([[[1.0], [2.0], [0.5]], [[0.3], [-0.4], [2.5]]])
+        integrate_grid(rhs, batch, np.array([0.5, 1.0, 2.0]), 5)
+        assert len(returned) == 20
+        assert all(np.array_equal(dz, kept) for dz, kept in returned)
 
 
 # -- the damped Newton loop ----------------------------------------------------------

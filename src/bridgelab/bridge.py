@@ -155,20 +155,22 @@ SEGMENT_SPAN = 5.0
 #: than a few long ones. A custom potential calls its pointwise functions in
 #: a Python loop over the rows, so its cost follows the row count, and every
 #: extra segment adds a row to each landing map of both Newton phases and
-#: 2d + 1 rows to each Jacobian batch; it keeps the SEGMENT_SPAN rule alone.
+#: 2d rows to each Jacobian batch; it keeps the SEGMENT_SPAN rule alone.
 #: On 22 solves of 2-3-D analytic custom potentials (cosh, quartic,
 #: log-sum-exp) short segments took 4.6 s against about 3.7 s, measured with
 #: one Newton phase and the Jacobian on the fine grid, and landed two far
 #: cosh bridges, which fail here, with energy drifts of 3e-6.
 SEGMENT_STEPS = 50
 
-#: A potential without ``batched_rows`` runs its coarse Newton phase and
-#: integrates every Newton Jacobian on a coarse grid: kc = min(k, ceil(t *
-#: max(lam, 1) / JACOBIAN_STEP)) RK4 steps for a segment of t time units, lam
-#: the largest eigenvalue of F'' at x and y (``_jacobian_steps``). The coarse
-#: solution is the fine phase's start, and the fine phase's residual decides
-#: convergence; with a one-phase solve, a step of 0.2 / lam, or a fixed 0.08
-#: time units, added Newton iterations on quartic and cosh solves.
+#: A potential without ``batched_rows`` runs a coarse Newton phase first, whose
+#: landing maps and Jacobian batches take kc = min(k, ceil(t * max(lam, 1) /
+#: JACOBIAN_STEP)) RK4 steps for a segment of t time units, lam the largest
+#: eigenvalue of F'' at x and y (``_jacobian_steps``). The coarse solution is
+#: the fine phase's start and its last Jacobian blocks the fine phase's first
+#: step; any later fine step integrates its Jacobian on the fine grid, and the
+#: fine phase's residual decides convergence. With a one-phase solve, a step
+#: of 0.2 / lam, or a fixed 0.08 time units, added Newton iterations on
+#: quartic and cosh solves.
 JACOBIAN_STEP = 0.1
 
 
@@ -233,8 +235,8 @@ def solve_bridge_shooting(P: Potential, x, y, T: float, opts: SolverOptions | No
     M segment starts and the n perturbed starts as one batch, one
     ``_integrate_phase`` call of M + n rows; if that batch leaves the domain
     or overflows, the iterate is judged on its M rows alone and
-    ``newton_step`` integrates the Jacobian by itself, so the loop makes the
-    decisions two passes would.
+    ``newton_step`` integrates the n perturbed rows on the fine grid by
+    themselves, so the loop makes the decisions two passes would.
 
     A potential without ``batched_rows`` pays per row, so it integrates rows
     only where they are used, and solves each start in two Newton phases
@@ -246,10 +248,11 @@ def solve_bridge_shooting(P: Potential, x, y, T: float, opts: SolverOptions | No
     iterate gets no Jacobian. The fine phase starts from the coarse
     solution: each evaluation integrates its M starts alone on the fine
     grid, its first step reuses the coarse phase's last Jacobian blocks, and
-    each further step integrates a fresh coarse batch of M + n rows; if that
-    batch leaves the domain or overflows, the step takes the n rows on the
-    fine grid instead. A coarse phase that misses the tolerance, or whose
-    start is unusable, leaves the fine phase the raw guess.
+    each later step integrates the n perturbed rows on the fine grid, the
+    one fine-grid Jacobian the builtins fall back to; with kc = k there is no
+    coarse phase and every step does. A coarse phase that misses the
+    tolerance, or whose start is unusable, leaves the fine phase the raw
+    guess and no Jacobian.
 
     ``context["restarts"]`` is the index of the start that converged,
     ``context["segments"]`` is M, ``iterations`` counts the fine passes and
@@ -319,19 +322,6 @@ def solve_bridge_shooting(P: Potential, x, y, T: float, opts: SolverOptions | No
         r = residuals(landed, Z)
         return float(np.max(np.abs(r))), (paths, landed, r, jac)
 
-    def coarse_jacobian(u, landed=None):
-        """Jacobian blocks of u from the n perturbed rows, each run to its own
-        junction in kc steps, and the coarse landings of its M segment
-        starts, which are integrated with them unless given."""
-        Z = initial_states(u)
-        rows, fd = perturbed_rows(Z)
-        if landed is None:
-            paths = _integrate_phase(P, np.concatenate([Z, rows]), horizons, kc)
-            end = _rows_at(paths, -1, np.arange(M + n))
-            return jacobian_blocks(end[M:], end[:M], fd)
-        moved = _integrate_phase(P, rows, horizons[M:], kc)
-        return jacobian_blocks(_rows_at(moved, -1, np.arange(n)), landed, fd)
-
     def coarse_error(u):
         """Sup-norm error of u on the coarse landing map, with its segments'
         landings and its residuals."""
@@ -341,25 +331,24 @@ def solve_bridge_shooting(P: Potential, x, y, T: float, opts: SolverOptions | No
         return float(np.max(np.abs(r))), (landed, r)
 
     def coarse_step(u, data):
-        """Coarse Newton step from the landings coarse_error already has; its
-        blocks are kept for the fine phase."""
+        """Coarse Newton step: the n perturbed rows, each run to its own
+        junction in kc steps, against the landings coarse_error already has;
+        its blocks are kept for the fine phase."""
         nonlocal carried
         landed, r = data
-        carried = coarse_jacobian(u, landed)
+        rows, fd = perturbed_rows(initial_states(u))
+        moved = _integrate_phase(P, rows, horizons[M:], kc)
+        carried = jacobian_blocks(_rows_at(moved, -1, np.arange(n)), landed, fd)
         return _shooting_step(carried, r)
 
     def newton_step(u, data):
-        """Newton step through the forward-difference segment Jacobians; the
-        first one of a fine phase takes the coarse phase's last blocks."""
+        """Newton step through the forward-difference segment Jacobians: the
+        merged batch's, else the coarse phase's last blocks (first fine step
+        only), else the n perturbed rows on the fine grid."""
         nonlocal carried
         _, landed, r, jac = data
         if jac is None:
             jac, carried = carried, None
-        if jac is None and not P.batched_rows:
-            try:
-                jac = coarse_jacobian(u)
-            except (DomainEscape, NonFinite):
-                pass  # take the fine grid below
         if jac is None:
             rows, fd = perturbed_rows(initial_states(u))
             moved = _integrate_phase(P, rows, span, k)

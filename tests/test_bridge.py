@@ -680,12 +680,13 @@ def test_escaping_coarse_jacobian_steps_as_the_fine_jacobian_does(monkeypatch, P
     assert sol.cost == twin.cost
     assert sol.boundary_error == twin.boundary_error
     assert sol.iterations == twin.iterations > 1
-    # the coarse start escapes once; then each step: the coarse batch
-    # escapes, and the n rows run on the fine grid
+    # the coarse start escapes once; then each step runs the n rows on the
+    # fine grid, and no step integrates a fresh coarse batch
     assert calls[0] == (M, kc) and calls.count((M, kc)) == 1
     assert calls[-1] == (M, k)
-    assert calls.count((wide, kc)) == calls.count((n, k)) == sol.iterations - 1
-    assert set(calls) == {(M, kc), (M, k), (wide, kc), (n, k)}
+    assert calls.count((wide, kc)) == 0
+    assert calls.count((n, k)) == sol.iterations - 1
+    assert set(calls) == {(M, kc), (M, k), (n, k)}
 
 
 @pytest.mark.parametrize("P, x, y, T, nodes", FALLBACK_CASES,
@@ -700,20 +701,18 @@ def test_unconverged_coarse_phase_leaves_the_fine_phase_the_raw_guess(monkeypatc
     assert 2 <= M <= 4 and kc < k
     opts = SolverOptions(method="shooting", grid_points=nodes)
     twin = solve_bridge_shooting(_batched_twin(P), x, y, T, opts)
-    coarse_batches = {(n, kc), (wide, kc)}  # of the coarse phase, and of a fine step
-    calls = _recording_phase(monkeypatch,
-                             fails=lambda width, steps: (width, steps) in coarse_batches)
+    calls = _recording_phase(monkeypatch, fails=lambda width, steps: (width, steps) == (n, kc))
     sol = solve_bridge_shooting(P, x, y, T, opts)
     assert sol.context["coarse_iterations"] == 1
     assert np.array_equal(sol.trajectory.states, twin.trajectory.states)
     assert np.array_equal(sol.trajectory.velocities, twin.trajectory.velocities)
     assert sol.cost == twin.cost and sol.boundary_error == twin.boundary_error
     assert sol.iterations == twin.iterations > 1
-    # one coarse pass, then each fine step: the coarse batch escapes, and
-    # the n rows run on the fine grid
+    # one coarse pass, then each fine step runs the n rows on the fine grid
     assert calls[:3] == [(M, kc), (n, kc), (M, k)]
     assert calls.count((M, kc)) == calls.count((n, kc)) == 1
-    assert calls.count((wide, kc)) == calls.count((n, k)) == sol.iterations - 1
+    assert calls.count((wide, kc)) == 0
+    assert calls.count((n, k)) == sol.iterations - 1
 
 
 @pytest.mark.parametrize("P, x, y, T, nodes", FALLBACK_CASES[1:],
@@ -725,13 +724,13 @@ def test_unconverged_coarse_phase_leaves_no_jacobian_to_the_fine_phase(monkeypat
     # tolerance. Its one Jacobian belongs to another point, so the fine
     # phase must not reuse it: from the raw guess it steps as the twin does
     M, k, kc = _coarse_steps(P, x, y, T, nodes)
-    wide, n = _widths(P, M)
+    _, n = _widths(P, M)
     opts = SolverOptions(method="shooting", grid_points=nodes)
     twin = solve_bridge_shooting(_batched_twin(P), x, y, T, opts)
     batches = []
 
     def later_batches(width, steps):
-        batches.append((width, steps) in {(n, kc), (wide, kc)})
+        batches.append((width, steps) == (n, kc))
         return batches[-1] and sum(batches) > 1
 
     _recording_phase(monkeypatch, fails=later_batches)
@@ -750,7 +749,7 @@ def test_escaping_coarse_and_fine_jacobians_stop_after_the_first_iteration(monke
     wide, n = _widths(P, M)
     opts = SolverOptions(method="shooting", grid_points=nodes)
     outcomes = []
-    for potential, escaping in ((P, {(n, kc), (wide, kc), (n, k)}),
+    for potential, escaping in ((P, {(n, kc), (n, k)}),
                                 (_batched_twin(P), {(wide, k), (n, k)})):
         calls = _recording_phase(monkeypatch, fails=lambda width, steps: (width, steps) in escaping)
         with pytest.raises(NoConvergence) as info:
@@ -782,11 +781,16 @@ def test_coarse_jacobian_keeps_the_fine_jacobian_iteration_counts(monkeypatch, P
     # solution in two fine passes, never more than the reference takes
     nodes = SolverOptions().nodes(T)
     _, k, kc = _coarse_steps(P, x, y, T, nodes)
+    _, n = _widths(P, M)
     assert kc < k
     with monkeypatch.context() as patched:
-        # kc = k: no coarse phase, and each Newton step's batch runs k steps
+        # kc = k: no coarse phase, and each Newton step integrates the n
+        # perturbed rows on the fine grid
         patched.setattr(bridge_module, "_jacobian_steps", lambda P, x, y, span, k: k)
+        calls = _recording_phase(patched)
         fine = solve_bridge_shooting(P, x, y, T)
+    assert set(calls) == {(M, k), (n, k)}
+    assert calls.count((n, k)) == fine.iterations - 1
     calls = _recording_phase(monkeypatch)
     nested = solve_bridge_shooting(P, x, y, T)
     assert nested.context["segments"] == fine.context["segments"] == M

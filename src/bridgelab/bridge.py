@@ -116,8 +116,8 @@ def _integrate_phase(P: Potential, Z0: np.ndarray, T: float | np.ndarray,
     (steps + 1, 2, m, d), whose rows ``_rows_at`` reads."""
     # integrate_grid runs `feasible` on every stage state before rhs sees it,
     # so a builtin force is evaluated without checking the state again; a
-    # positive-orthant custom potential's force still checks the same rows a
-    # second time (an open waste)
+    # positive-orthant custom's force checks each row a second time, with a
+    # few float comparisons in its row loop (an open waste)
     force = P.force_fn
 
     if P.domain == ALL_SPACE:

@@ -7,6 +7,7 @@ the domain, and the minimizer when one exists.
 """
 from __future__ import annotations
 
+import math
 from typing import Callable, Optional
 
 import numpy as np
@@ -53,8 +54,8 @@ class Potential:
     All four callables take rows (m, d): ``value_fn(X)`` (m,), ``grad_fn(X)``,
     ``hess_apply_fn(X, V)`` (row i is F''(X_i) V_i) and ``force_fn(X)`` (the
     force F''(x) F'(x)). Builtin constructors supply one numpy expression
-    each, with no domain check; ``custom()`` checks a batch's width and
-    domain once and calls the user's pointwise functions on each row. The
+    each, with no domain check; ``custom()`` checks a batch's width, then
+    each row's domain just before the user's pointwise functions see it. The
     pointwise methods check their point's shape and domain and evaluate it
     as a one-row batch; the ``*_many`` methods hand the rows to the
     callables. ``batched_rows`` is true for single numpy expressions (the
@@ -189,12 +190,13 @@ class Potential:
         fall back to central differences (gradient step sqrt(eps)*(1+|x|),
         Hessian step cbrt(eps)*(1+|x|)).
 
-        All four row callables go through one adapter: a batch (m, dim) is
-        checked once (another width is a ValueError, a batch outside the
-        domain a DomainError naming its first bad row), then the user's
-        functions run on each row; a point is a one-row batch. A row's force
-        is hess_apply(x, grad(x)); a gradient that is not finite makes it
-        raise ValueError("direction must be finite").
+        All four row callables go through one adapter: a batch (m, dim) of
+        another width is a ValueError; then the user's functions run on each
+        row after a check of its domain on plain floats, so the first row
+        outside it is a DomainError naming it (the rows in front have run).
+        A point is a one-row batch. A row's force is hess_apply(x, grad(x));
+        a gradient that is not finite makes it raise
+        ValueError("direction must be finite").
 
         When ``rho`` is positive and no minimizer is given, the minimizer is
         located by the damped Newton loop that the bridge solvers run, on the
@@ -226,20 +228,28 @@ class Potential:
 
         def force(x):
             g = np.asarray(grad(x), dtype=float)
-            if not np.isfinite(g).all():
+            if not all(map(math.isfinite, g.ravel().tolist())):
                 raise ValueError("direction must be finite")
             return hess_apply(x, g)
 
+        orthant = domain == POSITIVE_ORTHANT
+
+        def inside(x):
+            return all(0.0 < v < math.inf for v in x) if orthant else all(map(math.isfinite, x))
+
+        def outside(X):
+            bad = next(i for i, x in enumerate(X.tolist()) if not inside(x))
+            raise DomainError(f"row {bad}, {X[bad]}, outside domain of {CUSTOM}")
+
         def each_row(fn):
             """fn on each row of a batch X, with the matching row of V for a
-            Hessian action, after one check of the batch's width and domain."""
+            Hessian action; in_domain's test runs on each row's floats before
+            fn sees it, as a numpy reduction costs more on a 1-3 row batch."""
             def rows(X, *V):
                 if X.shape[1:] != (dim,):
                     raise ValueError(f"expected rows of dimension {dim}, got shape {X.shape}")
-                if not pot.in_domain(X):
-                    bad = next(i for i, x in enumerate(X) if not pot.in_domain(x))
-                    raise DomainError(f"row {bad}, {X[bad]}, outside domain of {CUSTOM}")
-                return np.array([fn(*row) for row in zip(X, *V)], dtype=float)
+                return np.array([fn(*row) if inside(x) else outside(X)
+                                 for x, row in zip(X.tolist(), zip(X, *V))], dtype=float)
             return rows
 
         # the closures read `pot` when they are called, after it is bound here

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bridgelab import DomainError, NoConvergence, Potential
-from bridgelab.potential import POSITIVE_ORTHANT
+from bridgelab.potential import ALL_SPACE, POSITIVE_ORTHANT
 
 A3 = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, -0.2], [0.0, -0.2, 3.0]])
 A2 = np.array([[2.0, 0.5], [0.5, 1.0]])
@@ -253,7 +253,7 @@ def test_custom_rows_outside_the_domain_raise():
             many(X)
 
 
-def lse(dim):
+def lse(dim, domain=ALL_SPACE):
     """F(x) = log sum exp(x) + |x|^2/4, whose pointwise gradient shifts by
     np.max over its whole argument, so it must never see a batch at once."""
     def parts(x):
@@ -268,21 +268,33 @@ def lse(dim):
         q = parts(x)
         return q * v - q * float(q @ v) + 0.5 * v
 
-    return Potential.custom(dim, value, lambda x: parts(x) + 0.5 * x, hess_apply), \
+    return Potential.custom(dim, value, lambda x: parts(x) + 0.5 * x, hess_apply, domain=domain), \
         (value, lambda x: parts(x) + 0.5 * x, hess_apply)
 
 
-def cosh(dim):
+def cosh(dim, domain=ALL_SPACE):
     fns = (lambda x: float(np.sum(np.cosh(x))), np.sinh, lambda x, v: np.cosh(x) * v)
-    return Potential.custom(dim, *fns, rho=1.0), fns
+    # its minimizer 0 is not in the orthant, so there it claims no rho
+    rho = 1.0 if domain == ALL_SPACE else None
+    return Potential.custom(dim, *fns, rho=rho, domain=domain), fns
 
 
-@pytest.mark.parametrize("family", [lse, cosh])
+def lse_orthant(dim):
+    return lse(dim, POSITIVE_ORTHANT)
+
+
+def cosh_orthant(dim):
+    return cosh(dim, POSITIVE_ORTHANT)
+
+
+@pytest.mark.parametrize("family", [lse, cosh, lse_orthant, cosh_orthant])
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_custom_rows_are_bit_equal_to_the_user_functions_row_by_row(family, dim):
     P, (value, grad, hess_apply) = family(dim)
     # rows of very different size, so that a shift by the batch's max would show
     X = np.random.default_rng(dim).normal(scale=3.0, size=(7, dim)) + np.arange(7)[:, None]
+    if P.domain == POSITIVE_ORTHANT:
+        X = np.abs(X) + 0.1
     assert np.array_equal(P.value_many(X), np.array([value(x) for x in X]))
     assert np.array_equal(P.grad_many(X), np.array([grad(x) for x in X]))
     assert np.array_equal(P.hess_grad_many(X), np.array([hess_apply(x, grad(x)) for x in X]))
@@ -337,7 +349,7 @@ def test_a_dimension_that_is_not_a_whole_number_is_a_value_error(build):
         build()
 
 
-def test_a_custom_force_batch_checks_its_domain_once(monkeypatch):
+def test_a_custom_batch_checks_each_row_before_the_user_functions_see_it(monkeypatch):
     calls = []
     in_domain = Potential.in_domain
 
@@ -345,10 +357,60 @@ def test_a_custom_force_batch_checks_its_domain_once(monkeypatch):
         calls.append(np.shape(x))
         return in_domain(self, x)
 
-    for P in (log_cosh(3), log_cosh(3, domain=POSITIVE_ORTHANT)):
+    for domain, bad in ((ALL_SPACE, [np.nan, 1.0, 1.0]), (POSITIVE_ORTHANT, [1.0, -0.0, 2.0])):
+        seen = []
+
+        def grad(x):
+            seen.append(x.copy())
+            return np.tanh(x) + x
+
+        P = Potential.custom(3, lambda x: 0.0, grad,
+                             lambda x, v: (1.0 / np.cosh(x) ** 2 + 1.0) * v, domain=domain)
         X = np.random.default_rng(3).uniform(0.5, 2.0, size=(6, 3))
         monkeypatch.setattr(Potential, "in_domain", counted)
-        calls.clear()
         P.hess_grad_many(X)
+        X[4] = bad
+        with pytest.raises(DomainError, match=r"row 4\b"):
+            P.hess_grad_many(X)
         monkeypatch.undo()
-        assert calls == [(6, 3)]
+        assert calls == []
+        # the rows in front of the bad one ran, the bad one and those after it did not
+        assert len(seen) == 6 + 4 and all(P.in_domain(x) for x in seen)
+
+
+EDGE_VALUES = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, 1.7e308, -1.0, 1.0]
+
+
+@pytest.mark.parametrize("domain", [ALL_SPACE, POSITIVE_ORTHANT])
+def test_the_custom_row_check_agrees_with_in_domain_row_by_row(domain):
+    P = Potential.custom(2, lambda x: 0.0, lambda x: np.zeros(2), lambda x, v: np.zeros(2),
+                         domain=domain)
+    X = np.array([[a, b] for a in EDGE_VALUES for b in EDGE_VALUES])
+    for i, x in enumerate(X):
+        if P.in_domain(x):
+            assert np.array_equal(P.grad_many(x[None]), [[0.0, 0.0]])
+        else:
+            # alone, and as the first bad row of a batch
+            with pytest.raises(DomainError, match=r"row 0\b"):
+                P.grad_many(x[None])
+            with pytest.raises(DomainError, match=rf"row {i}\b"):
+                P.grad_many(np.concatenate([np.ones((i, 2)), X[i:]]))
+
+
+@pytest.mark.parametrize("kind", [list, tuple, lambda g: np.asarray(g, dtype=np.float32)],
+                         ids=["list", "tuple", "float32"])
+def test_a_custom_gradient_of_another_type_is_checked_for_finiteness(kind):
+    def hess_apply(x, v):
+        return np.array([1.0, 2.0]) * v
+
+    P = Potential.custom(2, lambda x: 0.0, lambda x: kind([x[0], 2.0 * x[1]]), hess_apply)
+    X = np.array([[0.3, -1.1], [2.5, 0.7]])
+    forces = [hess_apply(x, np.asarray(kind([x[0], 2.0 * x[1]]), dtype=float)) for x in X]
+    assert np.array_equal(P.hess_grad_many(X), forces)
+    assert np.array_equal(P.hess_grad(X[1]), forces[1])
+    for bad in (np.nan, np.inf, -np.inf):
+        for g in ([bad, 1.0], [1.0, bad]):
+            P = Potential.custom(2, lambda x: 0.0, lambda x, g=g: kind(g), hess_apply)
+            for force in (P.hess_grad, lambda x: P.hess_grad_many(x[None])):
+                with pytest.raises(ValueError, match=r"^direction must be finite$"):
+                    force(X[0])

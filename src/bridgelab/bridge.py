@@ -413,21 +413,18 @@ def _shooting_step(jac: np.ndarray, r: np.ndarray) -> np.ndarray:
     start position pinned. Regrouped into block rows of 2d equations (the
     velocity defect at junction j, or the pinned start position for j = 0,
     then the position defect at junction j + 1), it is block tridiagonal in
-    the M starts.
+    the M starts, every row with the same U = -I from its position defect to
+    s_{j+1}; ``_block_tridiagonal_solve`` takes it in about log2 M batched QR passes.
     """
     M, m, _ = jac.shape
     d = m // 2
-    eye = np.eye(d)
-    L = np.zeros((M, m, m))
-    D = np.zeros((M, m, m))
-    U = np.zeros((M, m, m))
+    L, D = np.zeros((2, M, m, m))
     L[1:, :d] = jac[:-1, d:]
-    D[0, :d, :d] = eye
-    D[1:, :d, d:] = -eye
+    D[0, :d, :d] = np.eye(d)
+    D[1:, :d, d:] = -np.eye(d)
     D[:, d:] = jac[:, :d]
-    U[:-1, d:, :d] = -eye
     b = -np.concatenate([np.zeros(d), r]).reshape(M, m)
-    return _block_tridiagonal_solve(L, D, U, b).ravel()[d:]
+    return _block_tridiagonal_solve(L, D, -np.eye(m, k=-d), b).ravel()[d:]
 
 
 def _turnpike_seed(P: Potential, x, y, T: float, steps: int, starts) -> np.ndarray:
@@ -472,12 +469,12 @@ def solve_bridge_action(P: Potential, x, y, T: float, opts: SolverOptions | None
     stationary where the interior nodes solve the discrete Euler-Lagrange
     equations r_i = p_{i+1} - 2 p_i + p_{i-1} - h^2 F''F'(p_i) = 0, whose
     residual is h^2/2 times the action gradient. ``_damped_newton`` solves
-    them from the straight line, with diagonal Jacobian blocks
-    -2 I - h^2 d(F''F')/dp taken by forward differences (step
-    1e-7*(1+|p|)) and off-diagonal identity blocks, until the action
-    gradient's sup-norm (2/h) max |r| is below ACTION_GTOL; otherwise it
-    raises NoConvergence with the gradient it stopped at. The loop's budget
-    is the shared ``_integrate.NEWTON_MAX_ITER``.
+    them from the straight line, with diagonal Jacobian blocks -2 I -
+    h^2 d(F''F')/dp by forward differences (step 1e-7*(1+|p|)) and one
+    identity block for every off-diagonal one, each step a batched-QR
+    ``_block_tridiagonal_solve``, until the action gradient's sup-norm
+    (2/h) max |r| is below ACTION_GTOL; otherwise it raises NoConvergence
+    with the gradient it stopped at (budget ``_integrate.NEWTON_MAX_ITER``).
     The returned trajectory carries velocities from centered differences on
     interior nodes (second-order one-sided at the ends), and its cost is the
     same end-corrected trapezoid used everywhere else; with second-order end
@@ -510,7 +507,7 @@ def solve_bridge_action(P: Potential, x, y, T: float, opts: SolverOptions | None
         return (2.0 / h) * float(np.max(np.abs(r))), (force, r)
 
     def newton_step(z, data):
-        """Newton step by banded block elimination."""
+        """Newton step by the nested-dissection block solve."""
         force, r = data
         inner = z.reshape(n_nodes - 2, d)
         fd = 1e-7 * (1.0 + np.linalg.norm(inner, axis=1))
@@ -540,40 +537,56 @@ ACTION_GTOL = 1e-8
 
 def _block_tridiagonal_solve(L, D, U, b):
     """Solve L_i s_{i-1} + D_i s_i + U_i s_{i+1} = b_i for i < n, with
-    s_{-1} = s_n = 0; L, D and U are (n, m, m) (L_0 and U_{n-1} are not
-    read) and b is (n, m).
+    s_{-1} = s_n = 0; L, D and U are (n, m, m) or one (m, m) block for every
+    row (L_0 and U_{n-1} are not read) and b is (n, m).
 
-    Banded elimination by block columns: column i's panel holds the m rows
-    left over from column i - 1 and block row i + 1, and a Householder QR of
-    the panel with everything right of it keeps m pivot rows and leaves m
-    rows for column i + 1. Orthogonal steps confined to the band keep the
-    elimination backward stable without choosing pivots, and no product of
-    blocks is formed. O(n m^3) work and O(n m^2) memory; a
-    singular system raises LinAlgError from its pivot block.
+    Orthogonal nested dissection (S. J. Wright, SIAM J. Sci. Stat. Comput. 13,
+    1992): block rows pair into groups of 2m equations in four border unknowns,
+    and each level merges neighbouring groups (an unpaired last one waits) by
+    one batched Householder QR of their (4m, 6m + 1) panels, keeping the pivot
+    rows of the unknowns they share: ceil(log2 ceil(n / 2)) passes, O(n m^3)
+    work and O(n m^2) memory. Orthogonal steps keep it backward stable without
+    choosing pivots; a singular system raises LinAlgError from a pivot block.
     """
     n, m = b.shape
-    # block row i as the columns [s_{i-1} | s_i | s_{i+1} | b_i]
-    rows = np.concatenate([np.broadcast_to(L, (n, m, m)), np.broadcast_to(D, (n, m, m)),
-                           np.broadcast_to(U, (n, m, m)), b[:, :, None]], axis=2)
-    rows[-1, :, 2 * m:3 * m] = 0.0
-    # the panel of column i: columns [s_i | s_{i+1} | s_{i+2} | b]
-    panel = np.zeros((2 * m, 3 * m + 1))
-    panel[:m, :2 * m] = rows[0, :, m:3 * m]
-    panel[:m, 3 * m] = b[0]
-    pivots = np.empty((n, m, 3 * m + 1))
-    for i in range(n - 1):
-        panel[m:] = rows[i + 1]
-        R = np.linalg.qr(panel, mode="r")
-        pivots[i] = R[:m]
-        panel[:m, :2 * m] = R[m:, m:3 * m]
-        panel[:m, 3 * m] = R[m:, 3 * m]
-    pivots[n - 1] = panel[:m]
-    # s_i = g_i - G_i (s_{i+1}, s_{i+2}) from every pivot block at once
-    G = np.linalg.solve(pivots[:, :, :m], pivots[:, :, m:])
-    s = np.zeros((n + 2, m))
-    for i in range(n - 1, -1, -1):
-        s[i] = G[i, :, 2 * m] - G[i, :, :2 * m] @ s[i + 1:i + 3].ravel()
-    return s[:n]
+    k = (n + 1) // 2
+    # pair i is (s_{2i-1}, s_{2i}); group j is rows 2j, 2j + 1 as [pair j | pair j + 1 | b]
+    E = np.zeros((2 * k, m, 4 * m + 1))
+    E[:n, :, 4 * m] = b
+    for c, X in enumerate((L, D, U)):
+        E[0:n:2, :, c * m:c * m + m] = X[::2] if X.ndim == 3 else X
+        E[1:n:2, :, c * m + m:c * m + 2 * m] = X[1::2] if X.ndim == 3 else X
+    E[0, :, :m] = E[n - 1, :, (3 - n % 2) * m:(4 - n % 2) * m] = 0.0
+    E[n:, :, 2 * m:3 * m] = np.eye(m)  # an odd n adds the row s_n = 0
+    E = E.reshape(k, 2 * m, 4 * m + 1)
+    edges, levels = np.arange(k + 1), []  # group j lies between pairs edges[j] and edges[j + 1]
+    upper = np.arange(4 * m) >= np.arange(4 * m)[:, None]
+    while len(E) > 1:
+        # groups 2j, 2j + 1 as [shared pair | left pair | right pair | b]; an odd last one waits a level
+        p = len(E) // 2
+        R = np.zeros((p, 4 * m, 6 * m + 1))
+        R[:, :2 * m, :2 * m] = E[0:2 * p:2, :, 2 * m:4 * m]
+        R[:, :2 * m, 2 * m:4 * m] = E[0:2 * p:2, :, :2 * m]
+        R[:, :2 * m, 6 * m] = E[0:2 * p:2, :, 4 * m]
+        R[:, 2 * m:, :2 * m] = E[1:2 * p:2, :, :2 * m]
+        R[:, 2 * m:, 4 * m:] = E[1:2 * p:2, :, 2 * m:]
+        E = E[2 * p:].copy()
+        # raw mode holds one copy of the panel, with reflectors below R's diagonal
+        R = np.linalg.qr(R, mode="raw")[0].swapaxes(1, 2)
+        R[:, :, :4 * m] *= upper
+        levels.append((edges[:2 * p + 1], R[:, :2 * m].copy()))
+        E = np.concatenate([R[:, 2 * m:, 2 * m:], E])
+        edges = np.concatenate([edges[:-1:2], edges[-1:]])
+        del R  # before the next level's panel
+    # the last group pins s_0 and s_{2k-1}; s_{-1} = s_{2k} = 0
+    pairs = np.zeros((k + 1, 2 * m))
+    pairs[0, m:], pairs[k, :m] = np.linalg.solve(E[0, :, m:3 * m], E[0, :, 4 * m]).reshape(2, m)
+    for e, R in reversed(levels):  # merge j finds pair e[2j + 1] from pairs e[2j] and e[2j + 2]
+        outer = pairs[e[::2]]
+        near = np.concatenate([outer[:-1], outer[1:]], axis=1)[:, :, None]
+        rhs = R[:, :, 6 * m:] - R[:, :, 2 * m:6 * m] @ near
+        pairs[e[1::2]] = np.linalg.solve(R[:, :, :2 * m], rhs)[:, :, 0]
+    return pairs.reshape(-1, m)[1:n + 1]
 
 
 def solve_bridge(P: Potential, x, y, T: float, opts: SolverOptions | None = None) -> BridgeSolution:

@@ -1,13 +1,14 @@
 """Convex potentials with derivatives and convexity-class certificates.
 
-A potential carries the data the rest of the package needs: F and its first
-two derivatives, a lower Hessian bound ``rho``, a dimension parameter
-``n_dim`` (``inf`` drops the rank-one term from the convexity certificate),
-the domain, and the minimizer when one exists.
+A potential carries F and its first two derivatives, a finite lower Hessian
+bound ``rho`` (or None), a positive dimension parameter ``n_dim`` (``inf``
+drops the rank-one term from the convexity certificate), the domain, and the
+minimizer, a point of the domain, when one exists; all checked when built.
 """
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Callable, Optional
 
 import numpy as np
@@ -85,6 +86,10 @@ class Potential:
             raise ValueError("dim must be a positive integer")
         if domain not in (ALL_SPACE, POSITIVE_ORTHANT):
             raise ValueError(f"unknown domain {domain!r}")
+        if isinstance(rho, bool) or not (rho is None or isinstance(rho, numbers.Real) and abs(rho) < math.inf):
+            raise ValueError(f"rho must be None or a finite real number, got {rho!r}")
+        if isinstance(n_dim, bool) or not (isinstance(n_dim, numbers.Real) and n_dim > 0.0):
+            raise ValueError(f"n_dim must be a positive real number or inf, got {n_dim!r}")
         self.kind = kind
         self.rho = None if rho is None else float(rho)
         self.n_dim = float(n_dim)
@@ -93,7 +98,9 @@ class Potential:
         self._grad_fn = grad_fn
         self._hess_apply_fn = hess_apply_fn
         self.force_fn = force_fn
-        self.minimizer = None if minimizer is None else np.array(minimizer, dtype=float)
+        self.minimizer = None if minimizer is None else as_point(minimizer, self.dim).copy()
+        if self.minimizer is not None and not self.in_domain(self.minimizer):
+            raise ValueError(f"minimizer {self.minimizer} outside domain of {kind}")
         self._batched_rows = bool(batched_rows)
 
     @property

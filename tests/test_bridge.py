@@ -852,21 +852,83 @@ def test_shooting_block_solve_matches_the_dense_solve(d, M):
     assert np.max(np.abs(step - dense)) <= 1e-10 * np.max(np.abs(dense))
 
 
-@pytest.mark.parametrize("d, n", [(1, 1), (2, 3), (3, 40)])
-def test_block_tridiagonal_solve_matches_the_dense_solve(d, n):
-    rng = np.random.default_rng(10 * d + n)
-    L, D, U = rng.normal(size=(3, n, d, d))
-    b = rng.normal(size=(n, d))
-    A = np.zeros((n * d, n * d))
+def _dense_block_tridiagonal(L, D, U, n, m):
+    """The (nm, nm) matrix of block rows L_i s_{i-1} + D_i s_i + U_i s_{i+1}."""
+    L, D, U = (np.broadcast_to(X, (n, m, m)) for X in (L, D, U))
+    A = np.zeros((n * m, n * m))
     for i in range(n):
-        A[i * d:i * d + d, i * d:i * d + d] = D[i]
+        A[i * m:i * m + m, i * m:i * m + m] = D[i]
         if i:
-            A[i * d:i * d + d, (i - 1) * d:i * d] = L[i]
+            A[i * m:i * m + m, (i - 1) * m:i * m] = L[i]
         if i + 1 < n:
-            A[i * d:i * d + d, (i + 1) * d:(i + 2) * d] = U[i]
-    dense = np.linalg.solve(A, b.ravel())
-    s = bridge_module._block_tridiagonal_solve(L, D, U, b).ravel()
-    assert np.max(np.abs(s - dense)) <= 1e-10 * np.max(np.abs(dense))
+            A[i * m:i * m + m, (i + 1) * m:(i + 2) * m] = U[i]
+    return A
+
+
+# block sizes 1, 2 and 4 at counts that pair evenly, carry an odd group up
+# one or more levels, or need many levels
+@pytest.mark.parametrize("m, n", [(3, 40)] + [(m, n) for m in (1, 2, 4)
+                                              for n in (1, 2, 3, 5, 8, 9, 33, 257)])
+def test_block_tridiagonal_solve_matches_the_dense_solve(m, n):
+    rng = np.random.default_rng(10 * m + n)
+    L, D, U = rng.normal(size=(3, n, m, m))
+    b = rng.normal(size=(n, m))
+    # random blocks, then the action route's: one identity block for every L and U
+    eye = np.eye(m)
+    for L, D, U in ((L, D, U), (eye, -2.0 * eye - 0.1 * rng.random((n, m, m)), eye)):
+        dense = np.linalg.solve(_dense_block_tridiagonal(L, D, U, n, m), b.ravel())
+        s = bridge_module._block_tridiagonal_solve(L, D, U, b).ravel()
+        assert np.max(np.abs(s - dense)) <= 1e-10 * np.max(np.abs(dense))
+
+
+def _flow_jacobians(rng, M, d, span):
+    """Landing-map Jacobians of x'' = B x over ``span`` time units, B = Q diag(lam) Q^T
+    with lam in [0.5, 1] and one lam = 1: modes grow and decay like exp(+-span)."""
+    jac = np.empty((M, 2 * d, 2 * d))
+    for j in range(M):
+        Q = np.linalg.qr(rng.normal(size=(d, d)))[0]
+        lam = rng.uniform(0.5, 1.0, d)
+        lam[0] = 1.0
+        root = np.sqrt(lam)
+        cosh, sinh = np.cosh(span * root), np.sinh(span * root)
+        jac[j] = np.block([[(Q * cosh) @ Q.T, (Q * (sinh / root)) @ Q.T],
+                           [(Q * (root * sinh)) @ Q.T, (Q * cosh) @ Q.T]])
+    jac[0, :, :d] = 0.0
+    return jac
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_shooting_block_solve_is_backward_stable_on_growing_segments(d):
+    # 64 segments, each as sensitive to its start as SEGMENT_SPAN allows
+    rng = np.random.default_rng(64 + d)
+    jac = _flow_jacobians(rng, 64, d, bridge_module.SEGMENT_SPAN)
+    r = rng.normal(size=2 * d * 64 - d)
+    A = _dense_shooting_jacobian(jac)
+    step = bridge_module._shooting_step(jac, r)
+    backward = np.linalg.norm(A @ step + r) / (np.linalg.norm(A, 2) * np.linalg.norm(step)
+                                              + np.linalg.norm(r))
+    assert backward <= 1e-14
+
+
+def test_block_tridiagonal_solve_takes_one_qr_pass_per_level(monkeypatch):
+    calls = []
+    qr = np.linalg.qr
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return qr(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counted)
+    n, m = 1000, 2
+    rng = np.random.default_rng(1000)
+    L, D, U = rng.normal(size=(3, n, m, m))
+    b = rng.normal(size=(n, m))
+    s = bridge_module._block_tridiagonal_solve(L, D, U, b)
+    assert len(calls) <= math.ceil(math.log2(n))
+    padded = np.concatenate([np.zeros((1, m)), s, np.zeros((1, m))])
+    residual = (np.einsum("nij,nj->ni", L, padded[:-2]) + np.einsum("nij,nj->ni", D, s)
+                + np.einsum("nij,nj->ni", U, padded[2:]) - b)
+    assert np.max(np.abs(residual)) <= 1e-10 * np.max(np.abs(b))
 
 
 def test_singular_block_raises_linalg_error():
@@ -888,6 +950,13 @@ def test_action_cross_solver_agreement_quadratic():
     shoot = solve_bridge_shooting(P, [2.0], [1.0], 1.0)
     act = solve_bridge_action(P, [2.0], [1.0], 1.0, opts=SolverOptions(grid_points=201))
     assert act.cost == pytest.approx(shoot.cost, rel=1e-4)
+
+
+def test_action_route_solves_a_fine_grid_to_its_closed_form():
+    # 20 001 nodes, which the block solve's batched QR passes make affordable
+    P = Potential.neg_log(1)
+    sol = solve_bridge_action(P, [1.0], [1.0], 5.0, opts=SolverOptions(grid_points=20001))
+    assert sol.cost == pytest.approx(closed_form_cost(P, [1.0], [1.0], 5.0), rel=1e-8)
 
 
 def test_action_stationary_pair_costs_nothing():

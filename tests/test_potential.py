@@ -414,3 +414,25 @@ def test_a_custom_gradient_of_another_type_is_checked_for_finiteness(kind):
             for force in (P.hess_grad, lambda x: P.hess_grad_many(x[None])):
                 with pytest.raises(ValueError, match=r"^direction must be finite$"):
                     force(X[0])
+
+
+@pytest.mark.parametrize("certificate, match", [
+    (dict(n_dim=0), "n_dim must be a positive"),
+    (dict(n_dim=-2), "n_dim must be a positive"),
+    (dict(n_dim=float("nan")), "n_dim must be a positive"),
+    (dict(n_dim=True), "n_dim must be a positive"),
+    (dict(n_dim="3"), "n_dim must be a positive"),
+    (dict(rho=float("nan")), "rho must be None or a finite"),
+    (dict(rho=float("inf")), "rho must be None or a finite"),
+    (dict(rho=False), "rho must be None or a finite"),
+    (dict(rho="1"), "rho must be None or a finite"),
+    (dict(minimizer=[0.0, 0.0]), "dimension 1"),
+    (dict(minimizer=[float("nan")]), "minimizer .* outside domain"),
+    (dict(minimizer=[0.0], domain=POSITIVE_ORTHANT), "minimizer .* outside domain"),
+], ids=["n_dim_zero", "n_dim_negative", "n_dim_nan", "n_dim_bool", "n_dim_text", "rho_nan",
+        "rho_inf", "rho_bool", "rho_text", "minimizer_shape", "minimizer_nan", "minimizer_boundary"])
+def test_a_bad_certificate_is_a_value_error_when_the_potential_is_built(certificate, match):
+    # each of these used to pass construction and fail later, inside the
+    # bounds or the shooting segment count, or to skip the finite-n bounds
+    with pytest.raises(ValueError, match=match):
+        Potential.custom(1, lambda x: 0.5 * float(x @ x), **certificate)

@@ -17,6 +17,7 @@ import numpy as np
 from .bridge import BridgeSolution, SolverOptions, closed_form_cost, reverse_solution, solve_bridge
 from .errors import BridgeLabError, DegenerateSeries, MissingPrerequisite, UnsupportedKind
 from .flow import flows_on_grid
+from .functionals import defect_field
 from .potential import Potential
 
 #: Reports pass when margin >= -BOUND_TOL * (1 + |rhs|).
@@ -172,8 +173,8 @@ def _verify_one_orientation(P, x, y, T, sol, flow, c1, t_values, theta_values, o
     # the node nearest each of t_values, shared by B2, B4, B6, B7 and B8
     nodes = [(idx, float(traj.times[idx])) for idx in map(traj.nearest_index, t_values)]
 
-    def phi_sq(idx: int) -> float:
-        phi = P.grad(traj.states[idx]) + traj.velocities[idx]
+    def phi_sq(t: float) -> float:
+        phi = defect_field(traj, P, t)
         return float(phi @ phi)
 
     def flow_gap(idx: int) -> float:
@@ -189,7 +190,7 @@ def _verify_one_orientation(P, x, y, T, sol, flow, c1, t_values, theta_values, o
             for idx, tt in nodes:
                 if tt < T:
                     reports.append(
-                        _report("B2", phi_sq(idx), log_budget / (T - tt), t=tt, c1=c1, **base)
+                        _report("B2", phi_sq(tt), log_budget / (T - tt), t=tt, c1=c1, **base)
                     )
         for theta in theta_values:
             idx = traj.nearest_index(theta * T)
@@ -215,7 +216,7 @@ def _verify_one_orientation(P, x, y, T, sol, flow, c1, t_values, theta_values, o
         for idx, tt in nodes:
             if tt < T:
                 rhs = 2.0 * rho / _expm1(2.0 * rho * (T - tt)) * budget
-                reports.append(_report("B4", phi_sq(idx), rhs, t=tt, **base))
+                reports.append(_report("B4", phi_sq(tt), rhs, t=tt, **base))
         disc = max(C * C - 4.0 * (Fx - Fy) ** 2, 0.0)
         reports.append(_report("B5", abs(E), 2.0 * rho / _expm1(rho * T) * math.sqrt(disc), **base))
         for idx, tt in nodes:

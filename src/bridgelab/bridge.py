@@ -20,7 +20,7 @@ from .errors import DomainEscape, NoConvergence, NonFinite, UnsupportedKind
 from .flow import Trajectory, default_steps, flows_on_grid
 from .functionals import energy_stats, trapezoid_cost
 from .potential import (ALL_SPACE, NEG_LOG, QUADRATIC_ISOTROPIC, QUADRATIC_MATRIX, Potential,
-                        as_count, potential_from_config)
+                        _as_builtin, as_count)
 
 
 METHODS = ("shooting", "action", "auto")
@@ -113,7 +113,8 @@ def _integrate_phase(P: Potential, Z0: np.ndarray, T: float | np.ndarray,
     one batch, over one horizon T or per-row horizons (m,). The batch is held
     as (2, m, d), every row's position and then every row's velocity, so the
     force and the domain guard read one contiguous block; returns the paths
-    (steps + 1, 2, m, d), whose rows ``_rows_at`` reads."""
+    (steps + 1, 2, m, d). Both Newton phases of shooting run their landing
+    maps and Jacobian batches through it, on k or kc steps per segment."""
     # integrate_grid runs `feasible` on every stage state before rhs sees it,
     # so a builtin force is evaluated without checking the state again; a
     # positive-orthant custom's force checks each row a second time, with a
@@ -136,12 +137,6 @@ def _integrate_phase(P: Potential, Z0: np.ndarray, T: float | np.ndarray,
     return integrate_grid(rhs, batch, T, steps, feasible)
 
 
-def _rows_at(paths: np.ndarray, nodes, rows: np.ndarray) -> np.ndarray:
-    """Row ``rows[i]`` of ``_integrate_phase`` paths at node ``nodes[i]`` (or
-    at the one node ``nodes``), as phase states (len(rows), 2d)."""
-    return paths[nodes, :, rows].reshape(len(rows), -1)
-
-
 #: Multiple shooting cuts [0, T] into segments of at most
 #: SEGMENT_SPAN / max(rho, 1) time units for every potential, so the landing
 #: map of a segment is at most about exp(SEGMENT_SPAN) sensitive to its
@@ -162,10 +157,10 @@ SEGMENT_SPAN = 5.0
 #: cosh bridges, which fail here, with energy drifts of 3e-6.
 SEGMENT_STEPS = 50
 
-#: A potential without ``batched_rows`` runs a coarse Newton phase first, whose
-#: landing maps and Jacobian batches take kc = min(k, ceil(t * max(lam, 1) /
-#: JACOBIAN_STEP)) RK4 steps for a segment of t time units, lam the largest
-#: eigenvalue of F'' at x and y (``_jacobian_steps``). The coarse solution is
+#: A potential without ``batched_rows`` runs the same Newton loop twice: first
+#: on kc = min(k, ceil(t * max(lam, 1) / JACOBIAN_STEP)) RK4 steps per segment
+#: of t time units, lam the largest eigenvalue of F'' at x and y
+#: (``_jacobian_steps``), then on the fine grid's k. The coarse solution is
 #: the fine phase's start and its last Jacobian blocks the fine phase's first
 #: step; any later fine step integrates its Jacobian on the fine grid, and the
 #: fine phase's residual decides convergence. With a one-phase solve, a step
@@ -239,18 +234,13 @@ def solve_bridge_shooting(P: Potential, x, y, T: float, opts: SolverOptions | No
     themselves, so the loop makes the decisions two passes would.
 
     A potential without ``batched_rows`` pays per row, so it integrates rows
-    only where they are used, and solves each start in two Newton phases
-    when kc < k (``_jacobian_steps``). The coarse phase runs
-    ``_damped_newton`` to ``tol_boundary`` on the coarse landing map: the M
-    segment starts, each run to its own junction in kc steps. Each of its
-    steps integrates the n perturbed rows in the same kc steps and differences
-    them against the landings its evaluation already holds, so a converged
-    iterate gets no Jacobian. The fine phase starts from the coarse
-    solution: each evaluation integrates its M starts alone on the fine
-    grid, its first step reuses the coarse phase's last Jacobian blocks, and
-    each later step integrates the n perturbed rows on the fine grid, the
-    one fine-grid Jacobian the builtins fall back to; with kc = k there is no
-    coarse phase and every step does. A coarse phase that misses the
+    only where they are used: each evaluation its M starts, each step its n
+    perturbed rows, differenced against the landings the evaluation holds.
+    When kc < k (``_jacobian_steps``) each start runs that same Newton loop
+    twice. The coarse phase takes kc steps per segment, each row run to its
+    own junction, to ``tol_boundary``; its last step keeps its Jacobian
+    blocks. The fine phase starts from the coarse solution on the fine grid,
+    and its first step takes those blocks. A coarse phase that misses the
     tolerance, or whose start is unusable, leaves the fine phase the raw
     guess and no Jacobian.
 
@@ -268,6 +258,8 @@ def solve_bridge_shooting(P: Potential, x, y, T: float, opts: SolverOptions | No
     starts, k = _segment_starts(P, T, steps)
     M = len(starts)
     span = k * (T / steps)
+    # RK4 steps per segment of the coarse Newton phase, which runs when kc < k
+    kc = k if P.batched_rows else _jacobian_steps(P, x, y, span, k)
     # local step at which each segment meets the next one, or lands at T
     meet = np.append(np.diff(starts), k)
     # unknown p is component comp[p] of the initial state of segment seg[p]
@@ -301,67 +293,53 @@ def solve_bridge_shooting(P: Potential, x, y, T: float, opts: SolverOptions | No
         """Each segment's landing minus the next one's start, the last minus y."""
         return landed.ravel()[:n] - np.concatenate([Z[1:].ravel(), y])
 
-    def landing_error(u):
-        """Sup-norm error of u, with its (k + 1, 2, M, d) segment paths, their
-        landings, its residuals and, when the merged batch ran, its Jacobian
-        blocks."""
+    def advance(rows, segs, kk):
+        """Run rows (m, 2d) from the starts of segments ``segs``: with kk = k
+        on the solve's grid, k steps over span read at meet[segs], else each
+        row to its own junction in kk steps; returns the paths and the
+        (m, 2d) landings."""
+        if kk == k:
+            paths, nodes = _integrate_phase(P, rows, span, k), meet[segs]
+        else:
+            paths, nodes = _integrate_phase(P, rows, meet[segs] * (T / steps), kk), -1
+        return paths, paths[nodes, :, np.arange(len(rows))].reshape(len(rows), -1)
+
+    def landing_error(u, kk=k):
+        """Sup-norm error of u on kk-step landing maps, with its (kk + 1, 2,
+        M, d) segment paths, their landings, its residuals and, when the
+        merged batch ran, its Jacobian blocks."""
         Z = initial_states(u)
-        batch = jac = None
+        jac = None
         if P.batched_rows:
             rows, fd = perturbed_rows(Z)
             try:
-                batch = _integrate_phase(P, np.concatenate([Z, rows]), span, k)
+                paths, ends = advance(np.concatenate([Z, rows]), np.append(np.arange(M), seg), kk)
+                paths, landed = paths[:, :, :M], ends[:M]
+                jac = jacobian_blocks(ends[M:], landed, fd)
             except (DomainEscape, NonFinite):
                 # a perturbed row failed: judge the trial by its own rows, and
                 # leave the Jacobian to newton_step
                 pass
-        paths = _integrate_phase(P, Z, span, k) if batch is None else batch[:, :, :M]
-        landed = _rows_at(paths, meet, np.arange(M))
-        if batch is not None:
-            jac = jacobian_blocks(_rows_at(batch, meet[seg], M + np.arange(n)), landed, fd)
+        if jac is None:
+            paths, landed = advance(Z, np.arange(M), kk)
         r = residuals(landed, Z)
         return float(np.max(np.abs(r))), (paths, landed, r, jac)
 
-    def coarse_error(u):
-        """Sup-norm error of u on the coarse landing map, with its segments'
-        landings and its residuals."""
-        Z = initial_states(u)
-        landed = _rows_at(_integrate_phase(P, Z, horizons[:M], kc), -1, np.arange(M))
-        r = residuals(landed, Z)
-        return float(np.max(np.abs(r))), (landed, r)
-
-    def coarse_step(u, data):
-        """Coarse Newton step: the n perturbed rows, each run to its own
-        junction in kc steps, against the landings coarse_error already has;
-        its blocks are kept for the fine phase."""
-        nonlocal carried
-        landed, r = data
-        rows, fd = perturbed_rows(initial_states(u))
-        moved = _integrate_phase(P, rows, horizons[M:], kc)
-        carried = jacobian_blocks(_rows_at(moved, -1, np.arange(n)), landed, fd)
-        return _shooting_step(carried, r)
-
-    def newton_step(u, data):
+    def newton_step(u, data, kk=k):
         """Newton step through the forward-difference segment Jacobians: the
-        merged batch's, else the coarse phase's last blocks (first fine step
-        only), else the n perturbed rows on the fine grid."""
+        merged batch's, else (first fine step only) the blocks the last
+        coarse step kept in ``carried``, else the n perturbed rows run in kk
+        steps against the landings ``landing_error`` already has."""
         nonlocal carried
         _, landed, r, jac = data
-        if jac is None:
+        if jac is None and kk == k:
             jac, carried = carried, None
         if jac is None:
             rows, fd = perturbed_rows(initial_states(u))
-            moved = _integrate_phase(P, rows, span, k)
-            jac = jacobian_blocks(_rows_at(moved, meet[seg], np.arange(n)), landed, fd)
+            jac = jacobian_blocks(advance(rows, seg, kk)[1], landed, fd)
+            if kk < k:
+                carried = jac
         return _shooting_step(jac, r)
-
-    # a potential without batched_rows converges on the coarse landing map
-    # first; every row of its coarse batches runs to its segment's junction
-    nested = False
-    if not P.batched_rows:
-        horizons = np.concatenate([meet, meet[seg]]) * (T / steps)
-        kc = _jacobian_steps(P, x, y, span, k)
-        nested = kc < k
 
     # starting guesses, each built only when the one before it has failed
     if M == 1:
@@ -373,9 +351,10 @@ def solve_bridge_shooting(P: Potential, x, y, T: float, opts: SolverOptions | No
     for attempt, guess in enumerate(guesses):
         u = guess()
         carried = None
-        if nested:
-            polished, err, _, passes = _damped_newton(coarse_error, coarse_step, u,
-                                                      opts.tol_boundary)
+        if kc < k:
+            polished, err, _, passes = _damped_newton(
+                lambda v: landing_error(v, kc), lambda v, data: newton_step(v, data, kc), u,
+                opts.tol_boundary)
             coarse_iters += passes
             # an unconverged coarse phase leaves the fine phase the raw guess
             if err < opts.tol_boundary:
@@ -621,7 +600,8 @@ def reverse_solution(sol: BridgeSolution) -> BridgeSolution:
 def _closed_form(P, x, y, T: float):
     """(path, energy, cost) of the exact bridge of the builtin potential P,
     or of the builtin of kind P at the endpoints' dimension; a custom
-    potential is UnsupportedKind. ``path`` maps times (n, 1) to (states,
+    potential, an unknown kind or the quadratic-matrix kind without its
+    matrix is UnsupportedKind. ``path`` maps times (n, 1) to (states,
     velocities) through one numpy expression whatever n is.
 
     Neg-log, per coordinate: x(t)^2 = a t^2 + b t + x^2 with
@@ -635,8 +615,7 @@ def _closed_form(P, x, y, T: float):
     e^{-kT} and cost k (1 - e^{-2kT})(alpha^2 + beta^2), all written to stay
     accurate as kT -> 0. A mode with lam = 0 is a straight line, W(s) = s/T.
     """
-    if not isinstance(P, Potential):
-        P = potential_from_config({"kind": P, "dim": np.size(x)})
+    P = _as_builtin(P, np.size(x))
     x, y = P.check_domain(x), P.check_domain(y)
     if not 0.0 < T < math.inf:
         raise ValueError("T must be positive and finite")

@@ -8,8 +8,9 @@ from functools import cached_property
 import numpy as np
 
 from ._integrate import integrate_grid
-from .errors import DomainError, NonUniformGrid, OffGrid, UnsupportedKind
-from .potential import ALL_SPACE, NEG_LOG, QUADRATIC_ISOTROPIC, QUADRATIC_MATRIX, Potential
+from .errors import NonUniformGrid, OffGrid, UnsupportedKind
+from .potential import (ALL_SPACE, NEG_LOG, QUADRATIC_ISOTROPIC, QUADRATIC_MATRIX, Potential,
+                        _as_builtin)
 
 #: Relative spacing variation tolerated before a grid counts as non-uniform.
 UNIFORMITY_RTOL = 1e-12
@@ -131,25 +132,21 @@ def flows_on_grid(P: Potential, sources, times) -> list[Trajectory]:
 def closed_form_flow(P, x0, t) -> np.ndarray:
     """Exact gradient flow from x0 (d,) of the builtin potential, or builtin
     kind, P, at one time t, which gives (d,), or at an array of times (n,),
-    which gives (n, d); a custom potential, or the quadratic-matrix kind
-    without its matrix, is UnsupportedKind. A potential checks x0 against
-    its domain, and the neg-log kind needs a positive x0 (DomainError
-    otherwise). The quadratic-matrix flow is Q diag(e^{-lam t}) Q^T x0, its
-    last product an elementwise sum as in the bridge closed forms."""
+    which gives (n, d); a custom potential, an unknown kind or the
+    quadratic-matrix kind without its matrix is UnsupportedKind, and a start
+    outside the builtin's domain a DomainError. The quadratic-matrix flow is
+    Q diag(e^{-lam t}) Q^T x0, its last product an elementwise sum as in the
+    bridge closed forms."""
     t = np.asarray(t, dtype=float)[..., None]  # a time per row, broadcast over the coordinates
     if np.any(t < 0):
         raise ValueError("t must be nonnegative")
-    if isinstance(P, Potential):
-        x0, kind = P.check_domain(x0), P.kind
-    else:
-        x0, kind = np.atleast_1d(np.asarray(x0, dtype=float)), P
-        if kind == NEG_LOG and not np.all(x0 > 0.0):
-            raise DomainError(f"point {x0} outside domain of {NEG_LOG}")
-    if kind == QUADRATIC_ISOTROPIC:
+    P = _as_builtin(P, np.size(x0))
+    x0 = P.check_domain(x0)
+    if P.kind == QUADRATIC_ISOTROPIC:
         return np.exp(-t) * x0
-    if kind == NEG_LOG:
+    if P.kind == NEG_LOG:
         return np.sqrt(2.0 * t + x0 * x0)
-    if kind == QUADRATIC_MATRIX and isinstance(P, Potential):
+    if P.kind == QUADRATIC_MATRIX:
         lam, Q = np.linalg.eigh(P.hessian(np.zeros(P.dim)))
         return np.sum((np.exp(-lam * t) * (Q.T @ x0))[..., None, :] * Q, axis=-1)
-    raise UnsupportedKind(f"no closed-form flow for kind {kind!r}")
+    raise UnsupportedKind(f"no closed-form flow for kind {P.kind!r}")

@@ -14,7 +14,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._integrate import _damped_newton
-from .errors import DomainError, NoConvergence
+from .errors import DomainError, NoConvergence, UnsupportedKind
 
 _EPS = float(np.finfo(float).eps)
 GRAD_STEP = np.sqrt(_EPS)          # central-difference gradient step scale
@@ -397,3 +397,14 @@ def potential_from_config(desc: dict) -> Potential:
     if kind == NEG_LOG:
         return Potential.neg_log(desc.get("dim", 1))
     raise ValueError(f"unknown potential kind {kind!r}")
+
+
+def _as_builtin(P, dim: int) -> Potential:
+    """P itself when it is a Potential, else the builtin of kind P at dimension
+    dim; a kind not buildable from the kind and dim alone is UnsupportedKind."""
+    if isinstance(P, Potential):
+        return P
+    try:
+        return potential_from_config({"kind": P, "dim": dim})
+    except ValueError as exc:
+        raise UnsupportedKind(str(exc)) from exc

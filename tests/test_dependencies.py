@@ -84,3 +84,31 @@ def test_only_the_closed_forms_and_the_config_reader_branch_on_a_potential_kind(
             found.append(owner)
             assert owner in allowed, f"{path.name}:{node.lineno} compares a kind in {owner}"
     assert set(found) == allowed
+
+
+def test_every_private_top_level_name_is_used_in_the_package():
+    # a helper that a refactor leaves behind is dead code
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    unused = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            unused += [f"{name}:{d}" for d in defined
+                       if d.startswith("_") and not d.startswith("__") and d not in used]
+    assert not unused, unused

@@ -14,11 +14,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .bounds import EXPONENTIAL, POWER_LAW, fit_rate, unit_horizon_cost, verify_bounds
+from .bounds import EXPONENTIAL, POWER_LAW, fit_rate, verify_bounds
 from .bridge import solve_bridge
 from .config import ExperimentConfig, builtin_config_names, resolve_config
 from .errors import BridgeLabError, ConfigError, DegenerateSeries
-from .flow import flows_on_grid, gradient_flow
+from .flow import flows_on_grid
 from .functionals import energy_stats
 from .gaussian import GaussianBridge, gamma_expansion, gaussian_cost, gaussian_energy, heat_flow_distance
 from .potential import Potential
@@ -103,25 +103,6 @@ def _bound_order(pair) -> tuple:
     return (T, bound_id, orientation, *map(str, labels))
 
 
-def _once(fn):
-    """fn, called on first use only; later calls return its result, or raise
-    its BridgeLabError, again."""
-    memo = []
-
-    def call():
-        if not memo:
-            try:
-                memo.append((fn(), None))
-            except BridgeLabError as exc:
-                memo.append((None, exc))
-        value, exc = memo[0]
-        if exc is not None:
-            raise exc
-        return value
-
-    return call
-
-
 def _map_cases(fn, T_values, keep_going: bool):
     """Run fn(T) per case in increasing T; stop at the first failure unless keep_going."""
     results, failures = {}, {}
@@ -166,7 +147,7 @@ def run(config: ExperimentConfig, *, keep_going: bool = False, threads: int = 1,
 
     elif config.mode == "flow":
         def flow_case(T):
-            return gradient_flow(P, config.x, T, steps=(config.solver.nodes(T) - 1))
+            return flows_on_grid(P, config.x[None], np.linspace(0.0, T, config.solver.nodes(T)))[0]
 
         results, failures = _map_cases(flow_case, config.T_values, keep_going)
         for T, traj in results.items():
@@ -194,10 +175,6 @@ def run(config: ExperimentConfig, *, keep_going: bool = False, threads: int = 1,
                      ["T", "cost", "excess", "energy", "w2_heat_flow"], cases)
 
     elif config.mode == "verify":
-        # the unit-horizon cost depends on the config only: solve it once,
-        # after the first main solve, so a failing case fails as it always has
-        c1 = _once(lambda: unit_horizon_cost(P, config.x, config.y, config.solver))
-
         def verify_case(T):
             sol = solve_case(T)
             reports = verify_bounds(
@@ -206,7 +183,6 @@ def run(config: ExperimentConfig, *, keep_going: bool = False, threads: int = 1,
                 config.y,
                 T,
                 solution=sol,
-                c1=c1(),
                 t_values=[f * T for f in config.t_fractions],
                 theta_values=config.theta_values,
                 opts=config.solver,
@@ -231,10 +207,6 @@ def run(config: ExperimentConfig, *, keep_going: bool = False, threads: int = 1,
         }
 
     elif config.mode == "sweep":
-        # every case past T = 1 compares with the same flow at t = 1, exact for
-        # a builtin and RK4 on 200 steps otherwise: compute it once
-        flow_t1 = _once(lambda: flows_on_grid(P, config.x[None], np.linspace(0.0, 1.0, 201))[0])
-
         def sweep_case(T):
             sol = solve_case(T)
             row = {
@@ -245,7 +217,8 @@ def run(config: ExperimentConfig, *, keep_going: bool = False, threads: int = 1,
             }
             if T > 1.0:
                 state = _interp_state(sol.trajectory, 1.0)
-                row["dist_flow_t1"] = float(np.linalg.norm(state - flow_t1().states[-1]))
+                flow_t1 = flows_on_grid(P, config.x[None], np.linspace(0.0, 1.0, 201))[0]
+                row["dist_flow_t1"] = float(np.linalg.norm(state - flow_t1.states[-1]))
             return row
 
         results, failures = _map_cases(sweep_case, config.T_values, keep_going)

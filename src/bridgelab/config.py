@@ -12,7 +12,7 @@ import numpy as np
 from .bounds import T_FRACTIONS, THETA_VALUES
 from .bridge import SolverOptions
 from .errors import ConfigError
-from .potential import Potential, as_count, potential_from_config
+from .potential import Potential, potential_from_config
 
 MODES = ("bridge", "flow", "gaussian", "verify", "sweep")
 
@@ -101,12 +101,8 @@ def parse_config(data: dict, *, name_hint: str = "config") -> ExperimentConfig:
     try:
         solver = SolverOptions(
             method=solver_desc.get("method", "auto"),
-            tol_boundary=_number(solver_desc.get("tol_boundary", 1e-9),
-                                 "solver.tol_boundary"),
-            grid_points=(
-                as_count(solver_desc["grid_points"], "solver.grid_points")
-                if "grid_points" in solver_desc else None
-            ),
+            tol_boundary=solver_desc.get("tol_boundary", 1e-9),
+            grid_points=solver_desc.get("grid_points"),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad solver options: {exc}") from exc

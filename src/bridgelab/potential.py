@@ -14,7 +14,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._integrate import _damped_newton
-from .errors import DomainError, NoConvergence, UnsupportedKind
+from .errors import ConfigError, DomainError, NoConvergence, UnsupportedKind
 
 _EPS = float(np.finfo(float).eps)
 GRAD_STEP = np.sqrt(_EPS)          # central-difference gradient step scale
@@ -385,26 +385,29 @@ def potential_from_config(desc: dict) -> Potential:
     """Build a builtin potential from an experiment-config descriptor.
 
     Expected shape: {"kind": ..., "dim": d} with an extra "matrix" entry for
-    the quadratic-matrix kind. Custom potentials cannot be described in JSON.
+    the quadratic-matrix kind. Custom potentials cannot be described in JSON:
+    an unknown kind, or a quadratic-matrix kind without its matrix, is a
+    ConfigError, and a bad value the constructor's ValueError.
     """
     kind = desc.get("kind")
     if kind == QUADRATIC_ISOTROPIC:
         return Potential.quadratic_isotropic(desc.get("dim", 1))
     if kind == QUADRATIC_MATRIX:
         if "matrix" not in desc:
-            raise ValueError("quadratic_matrix potential needs a 'matrix' entry")
+            raise ConfigError("quadratic_matrix potential needs a 'matrix' entry")
         return Potential.quadratic_matrix(desc["matrix"])
     if kind == NEG_LOG:
         return Potential.neg_log(desc.get("dim", 1))
-    raise ValueError(f"unknown potential kind {kind!r}")
+    raise ConfigError(f"unknown potential kind {kind!r}")
 
 
 def _as_builtin(P, dim: int) -> Potential:
     """P itself when it is a Potential, else the builtin of kind P at dimension
-    dim; a kind not buildable from the kind and dim alone is UnsupportedKind."""
+    dim; a kind not buildable from the kind and dim alone is UnsupportedKind,
+    and a dim the builtin rejects its ValueError."""
     if isinstance(P, Potential):
         return P
     try:
         return potential_from_config({"kind": P, "dim": dim})
-    except ValueError as exc:
+    except ConfigError as exc:
         raise UnsupportedKind(str(exc)) from exc

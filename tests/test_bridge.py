@@ -154,6 +154,7 @@ def test_closed_form_rejects_unsupported_cases():
     ("no_such_kind", [1.0], UnsupportedKind),
     (QUAD, [math.nan], DomainError),
     (NEGLOG, [-1.0], DomainError),
+    ("neg_log", [], ValueError),  # a bad dim is the constructor's error, not a missing kind
 ])
 @pytest.mark.parametrize("evaluate", [
     lambda kind, x: closed_form_cost(kind, x, [2.0], 1.0),
@@ -641,6 +642,13 @@ def _coarse_steps(P, x, y, T, nodes):
     kc = bridge_module._jacobian_steps(P, np.asarray(x, float), np.asarray(y, float),
                                        k * T / steps, k)
     return len(starts), k, kc
+
+
+def test_coarse_jacobian_keeps_the_fine_steps_where_the_curvature_overflows():
+    # cosh(800) overflows, so no coarse step count follows from the curvature
+    with np.errstate(over="ignore"):
+        assert bridge_module._jacobian_steps(_cosh_custom(1), np.array([800.0]),
+                                             np.array([1.0]), 2.0, 50) == 50
 
 
 # custom potentials whose segment count the batched twin shares (k = 50),

@@ -6,13 +6,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import bridgelab.bounds as bounds_module
 import bridgelab.cli as cli_module
 from bridgelab import (DomainEscape, MissingPrerequisite, NoConvergence, OffGrid, Potential,
                        SolverOptions, solve_bridge)
 from bridgelab.cli import main
 from bridgelab.config import builtin_config_names, load_builtin_config, resolve_config
 from bridgelab.errors import ConfigError
-from bridgelab.flow import Trajectory, flows_on_grid
+from bridgelab.flow import Trajectory, closed_form_flow, flows_on_grid
 from bridgelab.functionals import energy_stats
 
 
@@ -91,13 +92,15 @@ def test_run_rejects_bad_mode_and_missing_file(tmp_path):
         {"t_fractions": ["0.25"]},
         {"solver": {"method": "shooting", "tol_boundary": "1e-9"}},
         {"solver": {"method": "shooting", "tol_boundary": True}},
+        {"potential": {"kind": "mystery", "dim": 1}},
+        {"potential": {"kind": "quadratic_matrix"}},
     ],
     ids=["T_text", "T_null", "theta_text", "t_fraction_list", "endpoints_list",
          "outputs_text", "grid_points_small", "tol_zero", "tol_negative", "tol_nan",
          "tol_inf", "grid_points_fraction", "grid_points_text", "dim_fraction", "dim_bool", "endpoints_missing",
          "gaussian_endpoints_missing", "endpoint_infinite", "T_nan", "T_inf", "matrix_inf",
          "matrix_nan", "T_number_text", "T_bool", "theta_number_text", "theta_bool",
-         "t_fraction_number_text", "tol_text", "tol_bool"],
+         "t_fraction_number_text", "tol_text", "tol_bool", "kind_unknown", "matrix_missing"],
 )
 def test_malformed_config_is_a_config_error(tmp_path, capsys, patch):
     cfg = write_config(tmp_path, {**BASE, **patch})
@@ -124,7 +127,7 @@ def failing_at(horizon, solve):
 
 
 def unit_horizon_cost_by(solve):
-    """A stand-in for the CLI's ``unit_horizon_cost`` that solves the bridge at
+    """A stand-in for ``bounds.unit_horizon_cost`` that solves the bridge at
     T = 1 with `solve`, as the library does for a potential without a closed
     form; a builtin's c1 is exact and reaches no solve."""
 
@@ -149,9 +152,9 @@ def test_first_failing_case_stops_the_run_without_keep_going(tmp_path, monkeypat
     assert summary["failures"] == [{"T": 2.0, "error": "no bridge at T = 2"}]
 
 
-def test_failing_unit_horizon_solve_is_tried_once_and_fails_every_case(tmp_path, monkeypatch):
+def test_failing_unit_horizon_solve_fails_every_verify_case(tmp_path, monkeypatch):
     patched, asked = failing_at(1.0, solve_bridge)
-    monkeypatch.setattr(cli_module, "unit_horizon_cost", unit_horizon_cost_by(patched))
+    monkeypatch.setattr(bounds_module, "unit_horizon_cost", unit_horizon_cost_by(patched))
     cfg = write_config(
         tmp_path,
         {
@@ -165,7 +168,7 @@ def test_failing_unit_horizon_solve_is_tried_once_and_fails_every_case(tmp_path,
     )
     out = tmp_path / "results"
     assert main(["run", str(cfg), "--keep-going", "--out-dir", str(out)]) == 2
-    assert asked == [1.0]
+    assert asked == [1.0, 1.0]
     summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
     assert summary["cases"] == []
     assert [f["T"] for f in summary["failures"]] == [2.0, 3.0]
@@ -228,14 +231,16 @@ def test_verify_mode_reports_all_pass(tmp_path):
     assert summary["bounds"]["n_fail"] == 0
 
 
-def test_verify_mode_solves_the_unit_horizon_cost_once(tmp_path, monkeypatch):
+def test_neglog_verify_reaches_no_bridge_solve_at_the_unit_horizon(tmp_path, monkeypatch):
+    # a builtin's c1 is its exact cost, so only the cases themselves are solved
     horizons = []
 
     def counting_solve(P, x, y, T, opts=None):
         horizons.append(T)
         return solve_bridge(P, x, y, T, opts)
 
-    monkeypatch.setattr(cli_module, "unit_horizon_cost", unit_horizon_cost_by(counting_solve))
+    monkeypatch.setattr(cli_module, "solve_bridge", counting_solve)
+    monkeypatch.setattr(bounds_module, "solve_bridge", counting_solve)
     cfg = write_config(
         tmp_path,
         {
@@ -248,7 +253,7 @@ def test_verify_mode_solves_the_unit_horizon_cost_once(tmp_path, monkeypatch):
         },
     )
     assert main(["run", str(cfg), "--out-dir", str(tmp_path / "results")]) == 0
-    assert horizons == [1.0]
+    assert horizons == [2.0, 3.0]
 
 
 def test_gaussian_mode_table(tmp_path):
@@ -322,7 +327,7 @@ def test_sweep_mode_emits_fits(tmp_path):
     assert exp == pytest.approx(-1.0, abs=0.05)
 
 
-def test_sweep_integrates_the_flow_to_t1_once_and_fails_each_case_with_it(tmp_path, monkeypatch):
+def test_sweep_reads_the_flow_at_t1_per_case_and_fails_each_case_with_it(tmp_path, monkeypatch):
     calls = []
 
     def counted(*args, **kwargs):
@@ -333,7 +338,7 @@ def test_sweep_integrates_the_flow_to_t1_once_and_fails_each_case_with_it(tmp_pa
     sweep = {**BASE, "mode": "sweep", "T_values": [0.5, 2.0, 3.0, 4.0],
              "solver": {"method": "shooting", "grid_points": 201}}
     assert main(["run", str(write_config(tmp_path, sweep)), "--out-dir", str(tmp_path / "a")]) == 0
-    assert calls == [1.0]
+    assert calls == [1.0] * 3
 
     def failing(*args, **kwargs):
         calls.append(args[2][-1])
@@ -342,7 +347,7 @@ def test_sweep_integrates_the_flow_to_t1_once_and_fails_each_case_with_it(tmp_pa
     monkeypatch.setattr(cli_module, "flows_on_grid", failing)
     out = tmp_path / "b"
     assert main(["run", str(write_config(tmp_path, sweep)), "--keep-going", "--out-dir", str(out)]) == 2
-    assert calls == [1.0, 1.0]
+    assert calls == [1.0] * 6
     summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
     assert [case["T"] for case in summary["cases"]] == [0.5]
     assert summary["failures"] == [{"T": T, "error": "the flow left the domain"} for T in (2.0, 3.0, 4.0)]
@@ -397,7 +402,14 @@ def test_flow_mode(tmp_path):
     out = tmp_path / "results"
     assert main(["run", str(cfg), "--out-dir", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
-    assert summary["cases"][0]["final_state"][0] == pytest.approx(3.0, abs=1e-6)
+    assert summary["cases"][0]["final_state"] == [3.0]
+
+    P = Potential.neg_log(1)
+    times = np.linspace(0.0, 4.0, SolverOptions().nodes(4.0))
+    states = closed_form_flow(P, [1.0], times)
+    expected = tmp_path / "expected.csv"
+    cli_module._write_trajectory(expected, Trajectory(times, states, -P.grad_many(states)), P)
+    assert (out / "case_flow_T4.csv").read_bytes() == expected.read_bytes()
 
 
 def test_builtin_configs_resolve_and_validate():

@@ -112,3 +112,12 @@ def test_every_private_top_level_name_is_used_in_the_package():
             unused += [f"{name}:{d}" for d in defined
                        if d.startswith("_") and not d.startswith("__") and d not in used]
     assert not unused, unused
+
+
+def test_the_command_line_imports_no_numerical_flow_or_unit_horizon_solve():
+    # a config names a builtin only, whose flow and unit-horizon cost are
+    # exact: cli.py reads them through flows_on_grid and verify_bounds
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    assert not imported & {"gradient_flow", "unit_horizon_cost"}

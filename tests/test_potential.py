@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from bridgelab import DomainError, NoConvergence, Potential
+from bridgelab import ConfigError, DomainError, NoConvergence, Potential
 from bridgelab.potential import ALL_SPACE, POSITIVE_ORTHANT
 
 A3 = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, -0.2], [0.0, -0.2, 3.0]])
@@ -103,6 +103,20 @@ def test_quadratic_matrix_rejects_nonfinite_entries_first(bad):
             Potential.quadratic_matrix([[1.0, bad], [bad, 1.0]])
 
 
+def test_hessian_action_rejects_a_direction_that_is_not_finite():
+    with pytest.raises(ValueError, match="direction must be finite"):
+        Potential.quadratic_isotropic(2).hess_apply([1.0, 2.0], [1.0, float("nan")])
+
+
+@pytest.mark.parametrize("matrix, message", [
+    ([[1.0, 0.0]], "square"),
+    ([[1.0, 0.5], [0.0, 1.0]], "symmetric"),
+], ids=["non_square", "asymmetric"])
+def test_quadratic_matrix_rejects_a_matrix_that_is_not_square_and_symmetric(matrix, message):
+    with pytest.raises(ValueError, match=message):
+        Potential.quadratic_matrix(matrix)
+
+
 def test_custom_finite_difference_hessian_matches_identity():
     P = Potential.custom(2, lambda x: 0.5 * float(x @ x), grad_fn=lambda x: x.copy())
     out = P.hess_apply(np.array([0.2, 0.4]), np.array([1.0, 2.0]))
@@ -139,6 +153,15 @@ def test_custom_minimizer_search_starts_inside_the_orthant():
                          grad_fn=lambda x: x - target, hess_apply_fn=lambda x, v: v.copy(),
                          rho=1.0, domain=POSITIVE_ORTHANT)
     np.testing.assert_allclose(P.minimizer, target, rtol=0.0, atol=1e-12)
+
+
+def test_custom_minimizer_search_damps_a_step_that_leaves_the_orthant():
+    # F = x^2/2 + 10 x - log x: Newton's first step from 1 lands at -4
+    P = Potential.custom(1, lambda x: float(0.5 * x @ x + 10.0 * x[0] - np.log(x[0])),
+                         grad_fn=lambda x: x + 10.0 - 1.0 / x,
+                         hess_apply_fn=lambda x, v: (1.0 + 1.0 / (x * x)) * v,
+                         rho=1.0, domain=POSITIVE_ORTHANT)
+    assert P.minimizer[0] == pytest.approx((-10.0 + np.sqrt(104.0)) / 2.0, rel=0.0, abs=1e-10)
 
 
 def test_custom_minimizer_search_without_a_minimum_is_no_convergence():
@@ -216,7 +239,7 @@ def test_potential_from_config_roundtrip():
     assert P.kind == "neg_log" and P.dim == 2
     Q = potential_from_config({"kind": "quadratic_matrix", "matrix": [[2.0, 0.0], [0.0, 1.0]]})
     assert Q.rho == pytest.approx(1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         potential_from_config({"kind": "mystery"})
 
 

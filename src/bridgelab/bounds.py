@@ -48,18 +48,6 @@ class RateFit:
     model: str
 
 
-def _report(bound_id: str, lhs: float, rhs: float, **context) -> BoundReport:
-    margin = rhs - lhs
-    return BoundReport(
-        bound_id=bound_id,
-        lhs=float(lhs),
-        rhs=float(rhs),
-        margin=float(margin),
-        passed=bool(margin >= -BOUND_TOL * (1.0 + abs(rhs))),
-        context=context,
-    )
-
-
 def _sinh_ratio(a: float, b: float) -> float:
     """sinh(a)/sinh(b) computed without overflowing for large b >= a >= 0."""
     if b <= 0:
@@ -114,8 +102,11 @@ def verify_bounds(
     builtin potential, and otherwise RK4 on the solution's grid, both
     orientations as one batch. `t_values` defaults
     to T times T_FRACTIONS and `theta_values` to THETA_VALUES. Unless
-    x == y, the reversed bridge from y to x is checked too; each report's
-    `context["orientation"]` is "forward" or "reversed".
+    x == y, the reversed bridge from y to x is checked too. A report's
+    context holds its own labels only: "orientation" ("forward" or
+    "reversed") and, where the bound has them, "t", "theta", "part",
+    "point", "c1" or "t_opt"; the case's potential, endpoints, T and
+    solver diagnostics are the caller's to record, once per case.
     """
     opts = opts or SolverOptions()
     x = P.check_domain(x)
@@ -148,6 +139,14 @@ def verify_bounds(
 
 def _verify_one_orientation(P, x, y, T, sol, flow, c1, t_values, theta_values, orientation):
     reports: list[BoundReport] = []
+
+    def add(bound_id: str, lhs: float, rhs: float, **labels) -> None:
+        """Append a report; its context is the orientation and the bound's own labels."""
+        margin = rhs - lhs
+        reports.append(BoundReport(bound_id, float(lhs), float(rhs), float(margin),
+                                   bool(margin >= -BOUND_TOL * (1.0 + abs(rhs))),
+                                   {"orientation": orientation, **labels}))
+
     traj = sol.trajectory
     n = P.n_dim
     rho = P.rho
@@ -159,16 +158,6 @@ def _verify_one_orientation(P, x, y, T, sol, flow, c1, t_values, theta_values, o
     Fy = P.value(y)
     E = sol.energy_mean
     C = sol.cost
-    base = {
-        "potential": P.kind,
-        "x": [float(v) for v in x],
-        "y": [float(v) for v in y],
-        "T": float(T),
-        "orientation": orientation,
-        "solver": sol.solver,
-        "boundary_error": sol.boundary_error,
-        "energy_maxdev": sol.energy_maxdev,
-    }
 
     # the node nearest each of t_values, shared by B2, B4, B6, B7 and B8
     nodes = [(idx, float(traj.times[idx])) for idx in map(traj.nearest_index, t_values)]
@@ -181,44 +170,40 @@ def _verify_one_orientation(P, x, y, T, sol, flow, c1, t_values, theta_values, o
         return float(np.linalg.norm(traj.states[idx] - flow.states[idx]))
 
     if n_finite:
-        reports.append(_report("B1", -E, 2.0 * n / T, part="energy", **base))
+        add("B1", -E, 2.0 * n / T, part="energy")
         if c1 is not None and T >= 1.0:
-            reports.append(
-                _report("B1", C, c1 + 2.0 * n * math.log(T), part="cost", c1=c1, **base)
-            )
+            add("B1", C, c1 + 2.0 * n * math.log(T), part="cost", c1=c1)
             log_budget = 2.0 * Fy - 2.0 * Fx + c1 + 2.0 * n * math.log(T)
             for idx, tt in nodes:
                 if tt < T:
-                    reports.append(
-                        _report("B2", phi_sq(tt), log_budget / (T - tt), t=tt, c1=c1, **base)
-                    )
+                    add("B2", phi_sq(tt), log_budget / (T - tt), t=tt, c1=c1)
         for theta in theta_values:
             idx = traj.nearest_index(theta * T)
             g = P.grad(traj.states[idx])
-            reports.append(_report("B3", float(g @ g), n / (2.0 * T * theta * (1.0 - theta)),
-                                   theta=float(theta), t=float(traj.times[idx]), **base))
+            add("B3", float(g @ g), n / (2.0 * T * theta * (1.0 - theta)),
+                theta=float(theta), t=float(traj.times[idx]))
         if c1 is not None and T >= 1.0:
             for idx, tt in nodes:
                 rhs = 2.0 * math.sqrt(max(log_budget, 0.0)) * (math.sqrt(T) - math.sqrt(T - tt))
-                reports.append(_report("B8", flow_gap(idx), rhs, t=tt, c1=c1, **base))
+                add("B8", flow_gap(idx), rhs, t=tt, c1=c1)
         g = P.grad(x)
-        reports.append(_report("B11", Fx - P.value(flow.states[-1]),
-                               0.5 * n * math.log1p((2.0 * T / n) * float(g @ g)), **base))
+        add("B11", Fx - P.value(flow.states[-1]),
+            0.5 * n * math.log1p((2.0 * T / n) * float(g @ g)))
         for t in t_values:
             idx = flow.nearest_index(t)
             tt = float(flow.times[idx])
             if tt > 0:
                 g = P.grad(flow.states[idx])
-                reports.append(_report("B12", float(g @ g), n / (2.0 * tt), t=tt, **base))
+                add("B12", float(g @ g), n / (2.0 * tt), t=tt)
 
     if rho_pos:
         budget = max(C + 2.0 * Fy - 2.0 * Fx, 0.0)
         for idx, tt in nodes:
             if tt < T:
                 rhs = 2.0 * rho / _expm1(2.0 * rho * (T - tt)) * budget
-                reports.append(_report("B4", phi_sq(tt), rhs, t=tt, **base))
+                add("B4", phi_sq(tt), rhs, t=tt)
         disc = max(C * C - 4.0 * (Fx - Fy) ** 2, 0.0)
-        reports.append(_report("B5", abs(E), 2.0 * rho / _expm1(rho * T) * math.sqrt(disc), **base))
+        add("B5", abs(E), 2.0 * rho / _expm1(rho * T) * math.sqrt(disc))
         for idx, tt in nodes:
             if tt < T:
                 # t e^{-rho T} sqrt(2 rho budget / (e^{-2 rho t} - e^{-2 rho T})) in
@@ -227,7 +212,7 @@ def _verify_one_orientation(P, x, y, T, sol, flow, c1, t_values, theta_values, o
                 rest = rho * (T - tt)
                 scale = tt * math.sqrt(2.0 * rho * budget / -math.expm1(-2.0 * rest))
                 rhs = math.exp(math.log(scale) - rest) if scale > 0.0 else 0.0
-                reports.append(_report("B7", flow_gap(idx), rhs, t=tt, **base))
+                add("B7", flow_gap(idx), rhs, t=tt)
         if has_min:
             Fstar = P.value(P.minimizer)
             for idx, tt in nodes:
@@ -235,7 +220,7 @@ def _verify_one_orientation(P, x, y, T, sol, flow, c1, t_values, theta_values, o
                 s1 = _sinh_ratio(2.0 * rho * (T - tt), 2.0 * rho * T)
                 s2 = _sinh_ratio(2.0 * rho * tt, 2.0 * rho * T)
                 rhs = c + s1 * (Fx - c) + s2 * (Fy - c)
-                reports.append(_report("B6", P.value(traj.states[idx]), rhs, t=tt, **base))
+                add("B6", P.value(traj.states[idx]), rhs, t=tt)
             # B9 holds at every s in (0, T). With c = rho T, its infimum is
             # 2(a + b) coth c + 4 sqrt(ab) / sinh c, reached where tanh(rho s) =
             # sqrt(a) sinh c / (sqrt(a) cosh c + sqrt(b)), that is where 2 rho s =
@@ -249,11 +234,10 @@ def _verify_one_orientation(P, x, y, T, sol, flow, c1, t_values, theta_values, o
                 t_opt = (rho * T + math.log((ra + rb * e) / (rb + ra * e))) / (2.0 * rho)
             else:  # the limit s -> 0 if a = 0, s -> T if b = 0; a = b = 0 makes rhs 0 at every s
                 t_opt = T if ra > 0.0 else (0.0 if rb > 0.0 else 0.5 * T)
-            reports.append(_report("B9", C, rhs, t_opt=t_opt, **base))
+            add("B9", C, rhs, t_opt=t_opt)
             for label, p in (("x", x), ("y", y)):
                 g = P.grad(p)
-                reports.append(_report("B10", 2.0 * rho * (P.value(p) - Fstar), float(g @ g),
-                                       point=label, **base))
+                add("B10", 2.0 * rho * (P.value(p) - Fstar), float(g @ g), point=label)
     return reports
 
 

@@ -18,7 +18,7 @@ from .bounds import EXPONENTIAL, POWER_LAW, fit_rate, verify_bounds
 from .bridge import solve_bridge
 from .config import ExperimentConfig, builtin_config_names, resolve_config
 from .errors import BridgeLabError, ConfigError, DegenerateSeries
-from .flow import flows_on_grid
+from .flow import closed_form_flow, flows_on_grid
 from .functionals import energy_stats
 from .gaussian import GaussianBridge, gamma_expansion, gaussian_cost, gaussian_energy, heat_flow_distance
 from .potential import Potential
@@ -131,6 +131,7 @@ def run(config: ExperimentConfig, *, keep_going: bool = False, threads: int = 1,
         "name": config.name,
         "mode": config.mode,
         "potential": {"kind": P.kind, "dim": P.dim},
+        "endpoints": {"x": [float(v) for v in config.x], "y": [float(v) for v in config.y]},
         "cases": [],
         "failures": [],
     }
@@ -200,9 +201,9 @@ def run(config: ExperimentConfig, *, keep_going: bool = False, threads: int = 1,
             "n_pass": n_pass,
             "n_fail": len(pairs) - n_pass,
             "reports": [
-                {"bound_id": rep.bound_id, "lhs": rep.lhs, "rhs": rep.rhs, "margin": rep.margin,
-                 "pass": rep.passed, "context": rep.context}
-                for _, rep in pairs
+                {"bound_id": rep.bound_id, "T": T, "lhs": rep.lhs, "rhs": rep.rhs,
+                 "margin": rep.margin, "pass": rep.passed, "context": rep.context}
+                for T, rep in pairs
             ],
         }
 
@@ -216,9 +217,8 @@ def run(config: ExperimentConfig, *, keep_going: bool = False, threads: int = 1,
                 "abs_energy": abs(sol.energy_mean),
             }
             if T > 1.0:
-                state = _interp_state(sol.trajectory, 1.0)
-                flow_t1 = flows_on_grid(P, config.x[None], np.linspace(0.0, 1.0, 201))[0]
-                row["dist_flow_t1"] = float(np.linalg.norm(state - flow_t1.states[-1]))
+                gap = _interp_state(sol.trajectory, 1.0) - closed_form_flow(P, config.x, 1.0)
+                row["dist_flow_t1"] = float(np.linalg.norm(gap))
             return row
 
         results, failures = _map_cases(sweep_case, config.T_values, keep_going)

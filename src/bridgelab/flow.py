@@ -134,19 +134,18 @@ def closed_form_flow(P, x0, t) -> np.ndarray:
     kind, P, at one time t, which gives (d,), or at an array of times (n,),
     which gives (n, d); a custom potential, an unknown kind or the
     quadratic-matrix kind without its matrix is UnsupportedKind, and a start
-    outside the builtin's domain a DomainError. The quadratic-matrix flow is
+    outside the builtin's domain a DomainError. A quadratic flow is
     Q diag(e^{-lam t}) Q^T x0, its last product an elementwise sum as in the
-    bridge closed forms."""
+    bridge closed forms; the isotropic kind's eigh(I) is exactly (1, I), so
+    its flow is e^{-t} x0 bit for bit, but for a -0 coordinate, which flows as +0."""
     t = np.asarray(t, dtype=float)[..., None]  # a time per row, broadcast over the coordinates
     if np.any(t < 0):
         raise ValueError("t must be nonnegative")
     P = _as_builtin(P, np.size(x0))
     x0 = P.check_domain(x0)
-    if P.kind == QUADRATIC_ISOTROPIC:
-        return np.exp(-t) * x0
     if P.kind == NEG_LOG:
         return np.sqrt(2.0 * t + x0 * x0)
-    if P.kind == QUADRATIC_MATRIX:
+    if P.kind in (QUADRATIC_ISOTROPIC, QUADRATIC_MATRIX):
         lam, Q = np.linalg.eigh(P.hessian(np.zeros(P.dim)))
         return np.sum((np.exp(-lam * t) * (Q.T @ x0))[..., None, :] * Q, axis=-1)
     raise UnsupportedKind(f"no closed-form flow for kind {P.kind!r}")

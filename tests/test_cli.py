@@ -231,6 +231,28 @@ def test_verify_mode_reports_all_pass(tmp_path):
     assert summary["bounds"]["n_fail"] == 0
 
 
+REPORT_LABELS = {"orientation", "t", "theta", "part", "point", "c1", "t_opt"}
+
+
+@pytest.mark.parametrize("name", ["neglog_verify", "quadratic_verify"])
+def test_verify_writes_each_case_fact_once_and_each_report_its_own_labels(tmp_path, name):
+    out = tmp_path / "results"
+    assert main(["run", name, "--out-dir", str(out)]) == 0
+    config = load_builtin_config(name)
+    summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+    records = summary["bounds"]["reports"]
+    rows = [line.split(",") for line in
+            (out / f"{name}_bounds.csv").read_text(encoding="utf-8").splitlines()[1:]]
+    assert len(records) == len(rows) > 0
+    for record, row in zip(records, rows):
+        assert set(record["context"]) <= REPORT_LABELS
+        assert (record["bound_id"], record["T"], record["context"]["orientation"], record["lhs"]) \
+            == (row[0], float(row[1]), row[2], float(row[6]))
+    assert summary["endpoints"] == {"x": config.x.tolist(), "y": config.y.tolist()}
+    assert summary["potential"]["kind"] == config.potential.kind
+    assert all({"solver", "boundary_error", "energy_maxdev"} <= set(case) for case in summary["cases"])
+
+
 def test_neglog_verify_reaches_no_bridge_solve_at_the_unit_horizon(tmp_path, monkeypatch):
     # a builtin's c1 is its exact cost, so only the cases themselves are solved
     horizons = []
@@ -330,21 +352,21 @@ def test_sweep_mode_emits_fits(tmp_path):
 def test_sweep_reads_the_flow_at_t1_per_case_and_fails_each_case_with_it(tmp_path, monkeypatch):
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(args[2][-1])  # the flow's last grid time
-        return flows_on_grid(*args, **kwargs)
+    def counted(P, x0, t):
+        calls.append(t)
+        return closed_form_flow(P, x0, t)
 
-    monkeypatch.setattr(cli_module, "flows_on_grid", counted)
+    monkeypatch.setattr(cli_module, "closed_form_flow", counted)
     sweep = {**BASE, "mode": "sweep", "T_values": [0.5, 2.0, 3.0, 4.0],
              "solver": {"method": "shooting", "grid_points": 201}}
     assert main(["run", str(write_config(tmp_path, sweep)), "--out-dir", str(tmp_path / "a")]) == 0
     assert calls == [1.0] * 3
 
-    def failing(*args, **kwargs):
-        calls.append(args[2][-1])
+    def failing(P, x0, t):
+        calls.append(t)
         raise DomainEscape("the flow left the domain")
 
-    monkeypatch.setattr(cli_module, "flows_on_grid", failing)
+    monkeypatch.setattr(cli_module, "closed_form_flow", failing)
     out = tmp_path / "b"
     assert main(["run", str(write_config(tmp_path, sweep)), "--keep-going", "--out-dir", str(out)]) == 2
     assert calls == [1.0] * 6

@@ -121,3 +121,11 @@ def test_the_command_line_imports_no_numerical_flow_or_unit_horizon_solve():
     imported = {alias.name for node in ast.walk(tree)
                 if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
     assert not imported & {"gradient_flow", "unit_horizon_cost"}
+
+
+def test_the_bound_catalogue_copies_no_case_fact_into_its_reports():
+    # a report holds its own labels; the case's kind and solver diagnostics
+    # are written once per case, by the caller
+    tree = ast.parse((SRC / "bounds.py").read_text(encoding="utf-8"))
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert not read & {"solver", "boundary_error", "energy_maxdev", "kind"}

@@ -101,6 +101,19 @@ def test_closed_form_flow_of_a_builtin_is_the_flow_of_its_kind():
         closed_form_flow(Potential.custom(1, lambda x: float(x @ x)), [1.0], 1.0)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_isotropic_quadratic_flow_is_the_exponential_decay_bit_for_bit(dim):
+    # the isotropic kind runs through the quadratic-matrix expression, whose eigh(I) is (1, I)
+    rng = np.random.default_rng(dim)
+    P = Potential.quadratic_isotropic(dim)
+    times = np.concatenate([[0.0], rng.uniform(0.0, 20.0, 50)])
+    for x0 in rng.normal(scale=3.0, size=(20, dim)):
+        flow = closed_form_flow(P, x0, times)
+        assert flow.tobytes() == (np.exp(-times)[:, None] * x0).tobytes()
+        for t in times[:5]:
+            assert closed_form_flow(P, x0, t).tobytes() == (np.exp(-t) * x0).tobytes()
+
+
 def test_flow_velocities_are_negative_gradients():
     P = Potential.neg_log(2)
     traj = gradient_flow(P, [1.0, 2.0], 2.0)
